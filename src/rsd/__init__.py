@@ -40,8 +40,6 @@ from .protocol import (
     ProtocolDesyncError,
     ProtocolResult,
     SizeDiscoveryNode,
-    Timeline,
-    compute_timeline,
     run_protocol,
     t1_formula,
     tau_formula,

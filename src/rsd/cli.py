@@ -16,7 +16,10 @@ from .labels import assign_labels, format_labels_file, length_bound
 from .protocol import run_protocol
 from .upper_sets import compute_upper_sets, compute_weights
 
-MAX_BETA = 64
+# The largest beta whose pattern bound z^2 * 3^(2z), z = 2^(beta+1), prints
+# within Python's default 4300-digit limit on int-to-str conversion: 3916
+# digits at beta 11, 7817 at beta 12.
+MAX_BETA = 11
 
 
 def _write(path: Optional[str], content: str) -> None:

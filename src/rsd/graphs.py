@@ -181,10 +181,6 @@ class LevelDecomposition:
     levels: Tuple[Tuple[int, ...], ...]
     delta: int
 
-    def nodes_at_or_below(self, l: int) -> int:
-        """Count of nodes at levels >= l."""
-        return sum(len(vs) for vs in self.levels[l:])
-
 
 def decompose(g: Graph) -> LevelDecomposition:
     """Pick the lowest-id maximum-degree node as root and layer the graph by BFS."""

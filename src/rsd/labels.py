@@ -132,7 +132,7 @@ def assign_labels(
     labels: Dict[int, Label] = {}
     for v in range(g.n):
         labels[v] = Label(
-            markers=tuple(1 if i in marker_sets[v] else 0 for i in range(7)),
+            markers=make_markers(*marker_sets[v]),
             l1=l1.get(v, ZERO_TAG),
             l2=l2.get(v, ZERO_TAG),
             l3=l3.get(v, ZERO_TAG),

@@ -50,7 +50,15 @@ from .radio import (
     run,
     run_scheduled,
 )
-from .upper_sets import UpperSetPlan, bitlen, compute_upper_sets, compute_weights
+from .upper_sets import (
+    UpperSetPlan,
+    account_block,
+    bitlen,
+    bits_value,
+    compute_upper_sets,
+    compute_weights,
+    report_slot,
+)
 
 _PULSE = WavePulse()
 _STOP = Stop()
@@ -80,83 +88,47 @@ def wave_encode(x: int) -> str:
 def wave_decode(pattern: str) -> int:
     """Inverse of wave_encode over a non-silence pattern.
 
-    Consumes bit pairs until the terminating 11; a pair whose second bit is
-    one anywhere earlier is malformed.  Leading zero pairs decode to leading
-    zero bits, which vanish under integer normalization.
+    The first pair whose second bit is one must be the terminating 11 and
+    must end the pattern; a 01 pair anywhere earlier is malformed.  Leading
+    zero pairs decode to leading zero bits, which vanish under integer
+    normalization.
     """
-    seq = [int(c) for c in pattern]
-    bits: List[int] = []
-    i = 0
-    while True:
-        if i + 1 >= len(seq):
-            raise MalformedWaveError("pattern ended before the 11 terminator")
-        a, b = seq[i], seq[i + 1]
-        if a == 1 and b == 1:
-            if i + 2 != len(seq):
-                raise MalformedWaveError("bits after the terminator")
-            if not bits:
-                raise MalformedWaveError("empty payload before terminator")
-            value = int("".join(map(str, bits)), 2)
-            if value < 1:
-                raise MalformedWaveError("payload decodes to zero")
-            return value
-        if b == 1:
-            raise MalformedWaveError(f"second bit of pair at offset {i} is 1")
-        bits.append(a)
-        i += 2
+    i = 2 * pattern[1::2].find("1")
+    if i < 0:
+        raise MalformedWaveError("pattern ended before the 11 terminator")
+    if pattern[i] != "1":
+        raise MalformedWaveError(f"second bit of pair at offset {i} is 1")
+    if i + 2 != len(pattern):
+        raise MalformedWaveError("bits after the terminator")
+    if i == 0:
+        raise MalformedWaveError("empty payload before terminator")
+    value = int(pattern[0:i:2], 2)
+    if value < 1:
+        raise MalformedWaveError("payload decodes to zero")
+    return value
 
 
 # --- timeline arithmetic ----------------------------------------------------
 
+def wave_span(x: int) -> int:
+    """Rounds one hop of a wave carrying x occupies: 2 per bit plus the 11."""
+    return 2 * bitlen(x) + 2
+
+
+def depth_report_round(delta: int, h: int) -> int:
+    """Round in which the depth report reaches the root: the degree wave
+    needs h hops after the bitlen(delta) tag rounds, the report h more."""
+    return bitlen(delta) + h * wave_span(delta) + h
+
+
 def t1_formula(delta: int, h: int) -> int:
-    m = bitlen(delta)
-    return m + h * (2 * m + 2) + h + h * (2 * bitlen(h) + 2)
+    """End of parameter learning: the depth wave's last hop finishes."""
+    return depth_report_round(delta, h) + h * wave_span(h)
 
 
 def tau_formula(delta: int, x: int) -> int:
     m = bitlen(delta)
     return m + x * m + 1
-
-
-@dataclass(frozen=True)
-class Timeline:
-    """Round bookkeeping for one run: t2[0] is the end of parameter learning."""
-
-    m: int
-    t1: int
-    x: Tuple[int, ...]
-    tau: Tuple[int, ...]
-    t2: Tuple[int, ...]
-    t2_prime: Tuple[int, ...]
-
-
-def compute_timeline(
-    delta: int,
-    h: int,
-    xs: Tuple[int, ...] = (),
-    stop_rounds: Tuple[int, ...] = (),
-) -> Timeline:
-    """Assemble the full schedule from observed per-phase maxima and stop rounds."""
-    if delta < 1 or h < 1:
-        raise ValueError("delta and h must be >= 1")
-    if len(stop_rounds) != len(xs):
-        raise ValueError("need one stop round per observed phase maximum")
-    t1 = t1_formula(delta, h)
-    t2 = [t1]
-    t2p = []
-    taus = []
-    for x, big_t in zip(xs, stop_rounds):
-        t2p.append(t2[-1] + 2 * h * (2 * bitlen(x) + 2))
-        taus.append(tau_formula(delta, x))
-        t2.append(big_t + 2 * h * (2 * bitlen(big_t) + 2))
-    return Timeline(
-        m=bitlen(delta),
-        t1=t1,
-        x=tuple(xs),
-        tau=tuple(taus),
-        t2=tuple(t2),
-        t2_prime=tuple(t2p),
-    )
 
 
 # --- the in-simulation wave listener -----------------------------------------
@@ -181,7 +153,7 @@ class WaveListener:
 
     def __init__(self, validator: Callable[[int, int], Optional[dict]]):
         self.validator = validator
-        self.cands: List[List[int]] = []
+        self.cands: List[str] = []  # per alignment: "1" per non-silent round, "0" per silent
 
     def silence_span(self, count: int) -> None:
         if count <= 0 or not self.cands:
@@ -189,42 +161,38 @@ class WaveListener:
         if count >= MAX_WAVE_BITS:
             self.cands.clear()
             return
-        pad = [0] * count
-        self.cands = [bits for bits in self.cands if len(bits) + count <= MAX_WAVE_BITS]
-        for bits in self.cands:
-            bits.extend(pad)
+        pad = "0" * count
+        self.cands = [bits + pad for bits in self.cands if len(bits) + count <= MAX_WAVE_BITS]
 
     def typed_message(self) -> None:
         """A clean non-pulse message: no wave is in the air at this round."""
         self.cands.clear()
 
     def pulse(self, r: int) -> Optional[dict]:
-        """A non-silent round: extend all candidates, spawn one, check terminators."""
-        survivors: List[List[int]] = []
+        """A non-silent round: extend all candidates, spawn one, check terminators.
+
+        The pulse either opens a pair, which every candidate survives while
+        it fits MAX_WAVE_BITS, or closes one: a terminator if the pair is
+        11, malformed otherwise.  A terminated candidate is decoded and
+        offered to the validator; either way its alignment ends here.
+        """
+        survivors: List[str] = []
         for bits in self.cands:
-            bits.append(1)
-            n = len(bits)
-            if n > MAX_WAVE_BITS:
-                continue
-            if n % 2 == 0:
-                if bits[-2] == 1:  # pair (1, 1): candidate terminator
-                    payload = bits[:-2]
-                    if payload and all(payload[i] == 0 for i in range(1, len(payload), 2)):
-                        value = int(
-                            "".join(str(payload[i]) for i in range(0, len(payload), 2)), 2
-                        )
-                        if value >= 1:
-                            got = self.validator(value, r)
-                            if got is not None:
-                                got["value"] = value
-                                got["round"] = r
-                                self.cands.clear()
-                                return got
-                    continue  # rejected: drop this alignment
-                if bits[-1] == 1:  # second bit of a pair set before any terminator
+            if len(bits) % 2 == 0:
+                if len(bits) < MAX_WAVE_BITS:
+                    survivors.append(bits + "1")
+            elif bits[-1] == "1":
+                try:
+                    value = wave_decode(bits + "1")
+                except MalformedWaveError:
                     continue
-            survivors.append(bits)
-        survivors.append([1])
+                got = self.validator(value, r)
+                if got is not None:
+                    got["value"] = value
+                    got["round"] = r
+                    self.cands.clear()
+                    return got
+        survivors.append("1")
         if len(survivors) > self.MAX_CANDIDATES:
             survivors = survivors[-self.MAX_CANDIDATES :]
         self.cands = survivors
@@ -266,10 +234,8 @@ class SizeDiscoveryNode:
 
         self._delta_bits: Dict[int, int] = {}
         self._hop_relayed = False
-        self._status_complete = False
         self._block_no = 0
-        self._dirty_tag = False
-        self._dirty_rep = False
+        self._window_clean = True
         self._tags_heard: Dict[int, int] = {}
         self._reports_heard: Dict[int, Dict[int, int]] = {}
 
@@ -369,7 +335,7 @@ class SizeDiscoveryNode:
 
     def _validate_delta_wave(self, value: int, r: int) -> Optional[dict]:
         mb = bitlen(value)
-        span = 2 * mb + 2
+        span = wave_span(value)
         if (r - mb) % span != 0:
             return None
         j = (r - mb) // span
@@ -381,44 +347,40 @@ class SizeDiscoveryNode:
         assert self.m is not None and self.level is not None
         if self.level > value:
             return None
-        start = self.m + value * (2 * self.m + 2) + value
-        span = 2 * bitlen(value) + 2
-        if r != start + self.level * span:
+        span = wave_span(value)
+        if r != depth_report_round(self.delta, value) + self.level * span:
             return None
         if self.h is not None and value != self.h:
             return None
-        echo_end = self.m + min(self.level + 2, value) * (2 * self.m + 2)
+        echo_end = self.m + min(self.level + 2, value) * wave_span(self.delta)
         if not self._quiet_since(echo_end, r - span):
             return None
         return {}
 
-    def _validate_x_wave(self, value: int, r: int) -> Optional[dict]:
-        assert self.t2 is not None and self.h is not None
-        span = 2 * bitlen(value) + 2
-        if (r - self.t2) % span != 0:
-            return None
-        d = (r - self.t2) // span
-        if not (1 <= d <= 2 * self.h) or not self._quiet_since(self.t2, r - span):
+    def _mid_phase_wave(self, start: int, value: int, r: int) -> Optional[dict]:
+        """A mid-phase wave sent from round `start` on ends its d-th hop at
+        start + d * wave_span(value), for 1 <= d <= 2h."""
+        span = wave_span(value)
+        d, rem = divmod(r - start, span)
+        if rem or not (1 <= d <= 2 * self.h) or not self._quiet_since(start, r - span):
             return None
         return {"distance": d}
+
+    def _validate_x_wave(self, value: int, r: int) -> Optional[dict]:
+        assert self.t2 is not None and self.h is not None
+        return self._mid_phase_wave(self.t2, value, r)
 
     def _validate_t_wave(self, value: int, r: int) -> Optional[dict]:
         assert self.t2p is not None and self.tau is not None and self.h is not None
         if value <= self.t2p or (value - self.t2p) % self.tau != 0:
             return None
-        span = 2 * bitlen(value) + 2
-        if (r - value) % span != 0:
-            return None
-        d = (r - value) // span
-        if not (1 <= d <= 2 * self.h) or not self._quiet_since(value, r - span):
-            return None
-        return {"distance": d}
+        return self._mid_phase_wave(value, value, r)
 
     def _validate_n_wave(self, value: int, r: int) -> Optional[dict]:
         assert self.t2 is not None and self.level is not None
         if value < 2:
             return None
-        span = 2 * bitlen(value) + 2
+        span = wave_span(value)
         if r != self.t2 + self.level * span:
             return None
         if not self._quiet_since(self.t2, r - span):
@@ -461,7 +423,7 @@ class SizeDiscoveryNode:
                 self._desync(
                     f"degree bits incomplete: have ids {sorted(self._delta_bits)}", r
                 )
-            value = int("".join(str(self._delta_bits[i]) for i in range(1, self.m + 1)), 2)
+            value = bits_value(self._delta_bits)
             if bitlen(value) != self.m:
                 self._desync(f"degree {value} does not fit its own bit count", r)
             self.delta = value
@@ -473,7 +435,7 @@ class SizeDiscoveryNode:
     def _obs_root_await_hop(self, r: int, obs: Observation) -> None:
         if isinstance(obs, Heard) and isinstance(obs.message, HopValue):
             x = obs.message.value
-            expected = self.m + x * (2 * self.m + 2) + x
+            expected = depth_report_round(self.delta, x)
             if r != expected:
                 self._desync(f"depth report {x} arrived in round {r}, expected {expected}", r)
             self._finish_param_learning(r, x)
@@ -563,7 +525,7 @@ class SizeDiscoveryNode:
 
     def _set_phase_schedule(self, x: int) -> None:
         self.x_i = x
-        self.t2p = self.t2 + 2 * self.h * (2 * bitlen(x) + 2)
+        self.t2p = self.t2 + 2 * self.h * wave_span(x)
         self.tau = tau_formula(self.delta, x)
         self._event("x", self.phase, x, self.t2p, self.tau)
         self._alarm(self.t2p + 1, "blocks_start")
@@ -582,14 +544,11 @@ class SizeDiscoveryNode:
     def _on_blocks_start(self, r: int) -> None:
         assert self.t2p is not None and r == self.t2p + 1
         if self.level == self.h - self.phase + 1:
-            self._status_complete = False
-            self._block_no = 1
             self._schedule_child_slots(1)
             if self.label.l2.active() or self.label.l3.active():
                 self._alarm(self.t2p + self.tau + 1, "child_block", 2)
             self.stage = "child_blocks"
         elif self.level == self.h - self.phase and self.label.has(4):
-            self._status_complete = False
             self._block_no = 1
             self._reset_member_windows()
             self._schedule(self.t2p + self.tau, _STOP_MARK)
@@ -609,13 +568,12 @@ class SizeDiscoveryNode:
             self._schedule(base + self.label.l2.id, CollisionTagMsg(self.label.l2))
         if self.label.l3.active():
             assert self.weight is not None, "weight-tagged child without a weight"
-            slot = base + self.m + (self.weight - 1) * self.m + self.label.l3.id
+            slot = base + report_slot(self.m, self.weight, self.label.l3.id)
             self._schedule(slot, WeightReport(self.label.l3, self.weight))
 
     def _on_child_block(self, r: int, j: int) -> None:
         if self.stage != "child_blocks":
             return  # completed meanwhile; stale alarm
-        self._block_no = j
         self._schedule_child_slots(j)
         self._alarm(self.t2p + j * self.tau + 1, "child_block", j + 1)
 
@@ -624,7 +582,6 @@ class SizeDiscoveryNode:
         if off <= 0 or off % self.tau != 0:
             return  # mid-block traffic belongs to members
         if obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, Stop)):
-            self._status_complete = True
             self._event("child_complete", self.phase, r)
             self._outbox = {k: v for k, v in self._outbox.items() if k <= r}
             self._arm_phase_end_listener()
@@ -632,8 +589,7 @@ class SizeDiscoveryNode:
     # members ----------------------------------------------------------------
 
     def _reset_member_windows(self) -> None:
-        self._dirty_tag = False
-        self._dirty_rep = False
+        self._window_clean = True
         self._tags_heard = {}
         self._reports_heard = {}
 
@@ -646,7 +602,7 @@ class SizeDiscoveryNode:
             return  # stop slot: other members' stops are not ours to act on
         if off <= self.m:
             if obs is COLLISION:
-                self._dirty_tag = True
+                self._window_clean = False
             elif isinstance(obs, Heard):
                 msg = obs.message
                 if not isinstance(msg, CollisionTagMsg):
@@ -656,12 +612,12 @@ class SizeDiscoveryNode:
                 self._tags_heard[msg.tag.id] = msg.tag.bit
         elif off < self.tau:
             if obs is COLLISION:
-                self._dirty_rep = True
+                self._window_clean = False
             elif isinstance(obs, Heard):
                 msg = obs.message
                 if not isinstance(msg, WeightReport):
                     self._desync(f"unexpected {type(msg).__name__} in report slots", r)
-                expected = self.m + (msg.weight - 1) * self.m + msg.tag.id
+                expected = report_slot(self.m, msg.weight, msg.tag.id)
                 if not (1 <= msg.weight <= self.x_i) or off != expected:
                     self._desync(
                         f"weight report ({msg.tag.id}, w={msg.weight}) in slot {off}", r
@@ -670,22 +626,13 @@ class SizeDiscoveryNode:
 
     def _evaluate_stop(self, r: int) -> Optional[Message]:
         """Block-final decision: adopt the weight and stop, or retry next block."""
-        complete = False
-        if not self._dirty_tag and not self._dirty_rep and self._tags_heard:
-            d = int("".join(str(b) for _i, b in sorted(self._tags_heard.items())), 2)
-            d_by_weight = {
-                w: int("".join(str(b) for _i, b in sorted(pairs.items())), 2)
-                for w, pairs in self._reports_heard.items()
-            }
-            if sum(d_by_weight.values()) == d:
-                self.weight = 1 + sum(w * c for w, c in d_by_weight.items())
-                complete = True
-        if not complete:
+        weight = account_block(self._window_clean, self._tags_heard, self._reports_heard)
+        if weight is None:
             self._block_no += 1
             self._reset_member_windows()
             self._schedule(self.t2p + self._block_no * self.tau, _STOP_MARK)
             return None
-        self._status_complete = True
+        self.weight = weight
         self._event("weight", r, self.weight)
         self._event("member_stop", self.phase, r)
         if self.label.has(5):
@@ -709,7 +656,7 @@ class SizeDiscoveryNode:
         self._finish_phase(r, big_t)
 
     def _finish_phase(self, r: int, big_t: int) -> None:
-        self.t2 = big_t + 2 * self.h * (2 * bitlen(big_t) + 2)
+        self.t2 = big_t + 2 * self.h * wave_span(big_t)
         self._event("t2", self.phase + 1, r, self.t2)
         self._listener = None
         if self.phase < self.h:
@@ -803,7 +750,6 @@ def run_protocol(
             rounds_used = run_scheduled(g, nodes, cap)
         elif engine == "reference":
             trace, rounds_used = run(g, nodes, cap, record_trace=record_trace)
-            rounds_used = _last_activity(trace, rounds_used)
         else:
             raise ValueError(f"unknown engine {engine!r}")
     except SimulationError as exc:
@@ -828,11 +774,3 @@ def run_protocol(
         trace=trace if record_trace else None,
         failure=failure,
     )
-
-
-def _last_activity(trace: SimulationTrace, default: int) -> int:
-    for r in range(len(trace.rounds), 0, -1):
-        actions, _obs = trace.rounds[r - 1]
-        if any(msg is not None for msg in actions.values()):
-            return r
-    return default

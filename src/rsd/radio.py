@@ -5,16 +5,17 @@ listens.  A listener hears a message iff exactly one neighbor transmits;
 two or more transmitting neighbors produce collision noise, zero produce
 silence.  Transmitters learn nothing in their own round.
 
-Two engines drive automata over this model.  `run` visits every round and
-every node (the reference semantics).  `run_scheduled` skips globally
-silent stretches by asking automata when they might transmit next; it
-produces the same observations and is validated against `run` in tests.
+Two engines drive automata over this model, and both resolve each round
+through `resolve_round`.  `run` visits every round and every node (the
+reference semantics).  `run_scheduled` skips globally silent stretches by
+asking automata when they might transmit next, and steps only the nodes a
+round can affect; it is validated against `run` in tests.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 from .graphs import Graph
 from .labels import Tag
@@ -100,27 +101,21 @@ Observation = object  # SILENCE | COLLISION | NOT_LISTENING | Heard
 def resolve_round(g: Graph, actions: Dict[int, Optional[Message]]) -> Dict[int, Observation]:
     """Apply the 0/1/>=2 transmitter rule to one round of actions.
 
-    `actions[v]` is the message v transmits, or None to listen.  Every node
-    must appear.
+    `actions[v]` is the message v transmits, or None to listen; nodes absent
+    from `actions` listen too.  Returns the observation of every node in
+    `actions` and of every neighbor of a transmitter; any other node hears
+    silence.
     """
     obs: Dict[int, Observation] = {}
-    counts = [0] * g.n
-    single: List[Optional[Message]] = [None] * g.n
-    for v in range(g.n):
-        msg = actions[v]
+    for v, msg in actions.items():
         if msg is not None:
             for w in g.adj[v]:
-                counts[w] += 1
-                single[w] = msg
-    for v in range(g.n):
-        if actions[v] is not None:
+                obs[w] = COLLISION if w in obs else Heard(msg)
+    for v, msg in actions.items():
+        if msg is not None:
             obs[v] = NOT_LISTENING
-        elif counts[v] == 0:
+        elif v not in obs:
             obs[v] = SILENCE
-        elif counts[v] == 1:
-            obs[v] = Heard(single[v])
-        else:
-            obs[v] = COLLISION
     return obs
 
 
@@ -182,6 +177,34 @@ def _obs_str(obs: Observation) -> str:
     return f"H:{type(obs.message).__name__}"
 
 
+def _decide(
+    automata: Dict[int, Automaton], nodes: Iterable[int], r: int
+) -> Dict[int, Optional[Message]]:
+    """Round r's action of every node in `nodes`."""
+    actions: Dict[int, Optional[Message]] = {}
+    for v in nodes:
+        try:
+            actions[v] = automata[v].decide(r)
+        except SimulationError:
+            raise
+        except Exception as exc:
+            raise SimulationError(f"automaton failed in decide: {exc}", r, v) from exc
+    return actions
+
+
+def _observe(
+    automata: Dict[int, Automaton], nodes: Iterable[int], r: int, obs: Dict[int, Observation]
+) -> None:
+    """Deliver round r's observation to every node in `nodes`, in that order."""
+    for v in nodes:
+        try:
+            automata[v].observe(r, obs[v])
+        except SimulationError:
+            raise
+        except Exception as exc:
+            raise SimulationError(f"automaton failed in observe: {exc}", r, v) from exc
+
+
 def run(
     g: Graph,
     automata: Dict[int, Automaton],
@@ -200,22 +223,9 @@ def run(
     for r in range(1, max_rounds + 1):
         if all(a.done for a in automata.values()):
             break
-        actions: Dict[int, Optional[Message]] = {}
-        for v in range(g.n):
-            try:
-                actions[v] = automata[v].decide(r)
-            except SimulationError:
-                raise
-            except Exception as exc:
-                raise SimulationError(f"automaton failed in decide: {exc}", r, v) from exc
+        actions = _decide(automata, range(g.n), r)
         obs = resolve_round(g, actions)
-        for v in range(g.n):
-            try:
-                automata[v].observe(r, obs[v])
-            except SimulationError:
-                raise
-            except Exception as exc:
-                raise SimulationError(f"automaton failed in observe: {exc}", r, v) from exc
+        _observe(automata, range(g.n), r, obs)
         if record_trace:
             trace.rounds.append((actions, obs))
         if any(msg is not None for msg in actions.values()):
@@ -271,37 +281,10 @@ def run_scheduled(
             _, v = heapq.heappop(heap)
             if v not in candidates:
                 candidates.append(v)
-        transmitters: Dict[int, Message] = {}
-        for v in candidates:
-            try:
-                msg = automata[v].decide(r)
-            except SimulationError:
-                raise
-            except Exception as exc:
-                raise SimulationError(f"automaton failed in decide: {exc}", r, v) from exc
-            if msg is not None:
-                transmitters[v] = msg
-        touched = set(candidates)
-        for v in transmitters:
-            touched.update(g.adj[v])
-        for v in sorted(touched):
-            if v in transmitters:
-                obs: Observation = NOT_LISTENING
-            else:
-                heard = [transmitters[w] for w in g.adj[v] if w in transmitters]
-                if len(heard) == 1:
-                    obs = Heard(heard[0])
-                elif len(heard) >= 2:
-                    obs = COLLISION
-                else:
-                    obs = SILENCE
-            try:
-                automata[v].observe(r, obs)
-            except SimulationError:
-                raise
-            except Exception as exc:
-                raise SimulationError(f"automaton failed in observe: {exc}", r, v) from exc
-        for v in touched:
+        actions = _decide(automata, candidates, r)
+        obs = resolve_round(g, actions)
+        _observe(automata, sorted(obs), r, obs)
+        for v in obs:
             if automata[v].done:
                 not_done.discard(v)
             elif v not in not_done:
@@ -309,6 +292,6 @@ def run_scheduled(
             nxt = automata[v].next_transmit_round(r + 1)
             if nxt is not None:
                 heapq.heappush(heap, (nxt, v))
-        if transmitters:
+        if any(msg is not None for msg in actions.values()):
             last_activity = r
     return last_activity

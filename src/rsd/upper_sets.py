@@ -11,7 +11,7 @@ initial member).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graphs import Graph, LevelDecomposition
 
@@ -21,6 +21,40 @@ def bitlen(x: int) -> int:
     if x < 1:
         raise ValueError(f"bitlen requires x >= 1, got {x}")
     return x.bit_length()
+
+
+def bits_value(bits: Dict[int, int]) -> int:
+    """The number spelled by an (id -> bit) map, most significant bit at the
+    smallest id; ids need not be contiguous."""
+    value = 0
+    for i in sorted(bits):
+        value = 2 * value + bits[i]
+    return value
+
+
+def report_slot(m: int, weight: int, tag_id: int) -> int:
+    """Offset within an accounting block of the weight report of a child of
+    the given weight carrying weight-tag id `tag_id`; the m collision-tag
+    slots come first."""
+    return m + (weight - 1) * m + tag_id
+
+
+def account_block(
+    collision_free: bool, tag_bits: Dict[int, int], reports: Dict[int, Dict[int, int]]
+) -> Optional[int]:
+    """An upper-set member's block-final decision: its weight, or None to retry.
+
+    The block counts only if its windows were collision-free and some
+    collision tag was heard.  The tag bits spell the child count, the
+    reports of each weight w spell the number c_w of children of weight w,
+    and the c_w must sum to the child count; the weight is 1 + sum w*c_w.
+    """
+    if not collision_free or not tag_bits:
+        return None
+    counts = {w: bits_value(pairs) for w, pairs in reports.items()}
+    if sum(counts.values()) != bits_value(tag_bits):
+        return None
+    return 1 + sum(w * c for w, c in counts.items())
 
 
 @dataclass(frozen=True)
@@ -286,13 +320,12 @@ def _replay_level(
 ):
     """Exact slot-by-slot replay of one phase's block dynamics.
 
-    A member completes when its windows are collision-free, the tag bits it
-    hears decode to a child count matched by the per-weight report sum; it
-    then stops at the block end, silencing every adjacent child.  Returns
-    ('ok', blocks) when every member completes with its true weight,
-    ('wrong', member, strays) when a member would adopt a wrong weight, and
-    ('robbed', member, child) when a member can never complete because a
-    foreign stop silenced one of its tag carriers.
+    A member completes when `account_block` accepts what its active
+    children send; it then stops at the block end, silencing every
+    adjacent child.  Returns ('ok', blocks) when every member completes
+    with its true weight, ('wrong', member, strays) when a member would
+    adopt a wrong weight, and ('robbed', member, child) when a member can
+    never complete because a foreign stop silenced one of its tag carriers.
     """
     m = bitlen(d.delta)
     members = plan.us[l]
@@ -305,32 +338,21 @@ def _replay_level(
         finishing = []
         for v in incomplete:
             audible = [u for u in _upper_neighbors(g, d, v) if u in active]
-            slots: Dict[int, List[int]] = {}
+            slots: List[int] = []
+            tag_bits: Dict[int, int] = {}
+            reports: Dict[int, Dict[int, int]] = {}
             for u in audible:
                 if u in l2:
-                    slots.setdefault(l2[u][0], []).append(u)
+                    i, bit = l2[u]
+                    slots.append(i)
+                    tag_bits[i] = bit
                 if u in l3:
-                    slots.setdefault(m + (weights[u] - 1) * m + l3[u][0], []).append(u)
-            if any(len(us) > 1 for us in slots.values()):
+                    j, bit = l3[u]
+                    slots.append(report_slot(m, weights[u], j))
+                    reports.setdefault(weights[u], {})[j] = bit
+            learned = account_block(len(set(slots)) == len(slots), tag_bits, reports)
+            if learned is None:
                 continue
-            tag_bits = {
-                l2[us[0]][0]: l2[us[0]][1] for slot, us in slots.items() if slot <= m
-            }
-            if not tag_bits:
-                continue
-            d_count = int("".join(str(b) for _i, b in sorted(tag_bits.items())), 2)
-            reports: Dict[int, Dict[int, int]] = {}
-            for slot, us in slots.items():
-                if slot > m:
-                    u = us[0]
-                    reports.setdefault(weights[u], {})[l3[u][0]] = l3[u][1]
-            d_by_weight = {
-                x: int("".join(str(b) for _i, b in sorted(pairs.items())), 2)
-                for x, pairs in reports.items()
-            }
-            if sum(d_by_weight.values()) != d_count:
-                continue
-            learned = 1 + sum(x * c for x, c in d_by_weight.items())
             if learned != weights[v]:
                 strays = sorted(u for u in audible if plan.owner.get(u) != v)
                 return ("wrong", v, strays)

@@ -142,7 +142,8 @@ def test_c5_phase_weights(corpus_runs):
                 assert w == res.oracle_weights[v], (name, v)
                 assert r <= end, (name, v)
         for l in range(d.h + 1):
-            assert sum(res.oracle_weights[v] for v in d.levels[l]) == d.nodes_at_or_below(l)
+            at_or_below = sum(len(vs) for vs in d.levels[l:])
+            assert sum(res.oracle_weights[v] for v in d.levels[l]) == at_or_below
     print("\nACCEPTANCE 5 PASS: phase-end weights equal the oracle and levels conserve counts")
 
 

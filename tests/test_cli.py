@@ -1,7 +1,9 @@
 import json
+import math
 
-from rsd.cli import main
+from rsd.cli import MAX_BETA, main
 from rsd.graphs import parse_graph
+from rsd.history_lab import pattern_bound
 
 
 def run_cli(*args):
@@ -142,6 +144,18 @@ def test_lowerbound_patterns(capsys):
 
 def test_lowerbound_patterns_beta_guard(capsys):
     assert run_cli("lowerbound", "patterns", "--beta", "65") == 2
+
+
+def test_lowerbound_beta_cap_is_the_printable_limit(capsys):
+    assert run_cli("lowerbound", "patterns", "--beta", str(MAX_BETA)) == 0
+    assert capsys.readouterr().out.strip() == str(pattern_bound(MAX_BETA))
+    assert run_cli("lowerbound", "crossover", "--beta", str(MAX_BETA), "--delta", "9") == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is False
+    for mode in (["patterns"], ["crossover", "--delta", "9"]):
+        assert run_cli("lowerbound", *mode, "--beta", str(MAX_BETA + 1)) == 2
+        assert "exceeds the configured maximum" in capsys.readouterr().err
+    # Python's default limit on int-to-str conversion
+    assert math.floor(math.log10(pattern_bound(MAX_BETA))) + 1 <= 4300
 
 
 def test_lowerbound_crossover(capsys):

@@ -5,14 +5,13 @@ from rsd.generators import path, random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
 from rsd.protocol import (
     MalformedWaveError,
-    compute_timeline,
     run_protocol,
     t1_formula,
     tau_formula,
     wave_decode,
     wave_encode,
 )
-from rsd.upper_sets import bitlen
+from rsd.upper_sets import bitlen, finalize_weight_tags
 
 
 # --- the flooding subroutine -------------------------------------------------
@@ -69,18 +68,6 @@ def test_t1_examples():
 def test_tau_examples():
     assert tau_formula(4, 2) == 10
     assert tau_formula(2, 1) == 5
-
-
-def test_compute_timeline_chain():
-    tl = compute_timeline(4, 2, xs=(1, 3), stop_rounds=(50, 90))
-    assert tl.m == 3
-    assert tl.t1 == t1_formula(4, 2)
-    assert tl.t2[0] == tl.t1
-    assert tl.t2_prime[0] == tl.t1 + 2 * 2 * (2 * 1 + 2)
-    assert tl.t2[1] == 50 + 2 * 2 * (2 * bitlen(50) + 2)
-    assert tl.tau == (tau_formula(4, 1), tau_formula(4, 3))
-    with pytest.raises(ValueError):
-        compute_timeline(0, 1)
 
 
 # --- end-to-end runs ----------------------------------------------------------
@@ -233,7 +220,6 @@ def test_timeline_arithmetic_matches_run_events():
     d = res.decomposition
     m = bitlen(d.delta)
     node = res.nodes[0]
-    xs = {e[1]: e[2] for e in node.events if e[0] == "x"}
     t2 = {1: t1_formula(d.delta, d.h)}
     t2.update({e[1]: e[3] for e in node.events if e[0] == "t2"})
     for i in range(1, d.h + 1):
@@ -250,24 +236,6 @@ def test_timeline_arithmetic_matches_run_events():
         big_t = stop_rounds.pop()
         assert t2[i + 1] == big_t + 2 * d.h * (2 * bitlen(big_t) + 2)
         assert (big_t - t2p) % tau == 0
-    tl = compute_timeline(
-        d.delta,
-        d.h,
-        xs=tuple(xs[i] for i in range(1, d.h + 1)),
-        stop_rounds=tuple(
-            sorted({e[3] for v in range(g.n) for e in res.nodes[v].events if e[0] == "T"})
-        )
-        if d.h == 1
-        else tuple(
-            next(
-                e[3] for v in range(g.n) for e in res.nodes[v].events
-                if e[0] == "T" and e[1] == i
-            )
-            for i in range(1, d.h + 1)
-        ),
-    )
-    assert tl.t2[0] == t2[1]
-    assert list(tl.t2[1:]) == [t2[i + 1] for i in range(1, d.h + 1)]
 
 
 def test_phase_wave_distance_matches_bfs():
@@ -314,15 +282,55 @@ def test_wave_decode_never_accepts_garbage_silently(pattern):
     assert stripped == wave_encode(value)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_engine_parity_across_shapes(seed):
-    shapes = [
-        star(2 + seed),
-        path(3 + seed),
-        random_tree(6 + 2 * seed, 4, seed),
-        random_connected_graph(8 + 2 * seed, 5, seed, extra_edges=seed),
-    ]
-    g = shapes[seed % 4]
+def _cycle(n):
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def _grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def _complete(n):
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def _hypercube(dim):
+    edges = [(v, v | 1 << i) for v in range(1 << dim) for i in range(dim) if not v >> i & 1]
+    return Graph.from_edges(1 << dim, edges)
+
+
+# shapes outside the acceptance corpus, which holds only trees and sparse graphs
+_EXTRA_SHAPES = {
+    "cycle9": lambda: _cycle(9),
+    "cycle10": lambda: _cycle(10),
+    "grid3x4": lambda: _grid(3, 4),
+    "K5": lambda: _complete(5),
+    "K6": lambda: _complete(6),
+    "K3,3": lambda: _complete_bipartite(3, 3),
+    "K2,4": lambda: _complete_bipartite(2, 4),
+    "Q3": lambda: _hypercube(3),
+    "Q4": lambda: _hypercube(4),
+}
+
+
+@pytest.mark.parametrize("shape", [*range(8), *_EXTRA_SHAPES])
+def test_engine_parity_across_shapes(shape):
+    if shape in _EXTRA_SHAPES:
+        g = _EXTRA_SHAPES[shape]()
+    else:
+        seed = shape
+        g = [
+            star(2 + seed),
+            path(3 + seed),
+            random_tree(6 + 2 * seed, 4, seed),
+            random_connected_graph(8 + 2 * seed, 5, seed, extra_edges=seed),
+        ][seed % 4]
     fast = run_protocol(g, engine="fast")
     ref = run_protocol(g, engine="reference")
     assert fast.ok and ref.ok
@@ -330,6 +338,28 @@ def test_engine_parity_across_shapes(seed):
     assert fast.rounds_used == ref.rounds_used
     for v in range(g.n):
         assert fast.nodes[v].events == ref.nodes[v].events
+
+
+@pytest.mark.parametrize("s", range(7))
+@pytest.mark.parametrize("kind", ["tree", "graph"])
+def test_member_stops_match_oracle_completion_blocks(kind, s):
+    # the oracle's replay and the automaton share one accounting rule, so
+    # every member stops exactly at the end of its predicted block
+    if kind == "tree":
+        g = random_tree(30 + 9 * s, 3 + s, 40 + s)
+    else:
+        g = random_connected_graph(20 + 8 * s, 4 + s, 60 + s, extra_edges=3 * s)
+    res = run_protocol(g)
+    assert res.ok
+    d, plan = res.decomposition, res.plan
+    _l3, blocks = finalize_weight_tags(g, d, plan, res.oracle_weights)
+    for l in range(d.h):
+        phase = d.h - l
+        for v in plan.us[l]:
+            events = res.nodes[v].events
+            (_tag, _i, _x, t2p, tau), = [e for e in events if e[0] == "x" and e[1] == phase]
+            stops = [e[2] for e in events if e[0] == "member_stop" and e[1] == phase]
+            assert stops == [t2p + blocks[l][v] * tau], (v, l)
 
 
 # --- the multi-alignment wave listener -----------------------------------------

@@ -184,3 +184,13 @@ def test_resolve_round_counts(n, data):
             assert obs[v] == Heard(Opaque(str(talkers[0])))
         else:
             assert obs[v] is (SILENCE if not talkers else COLLISION)
+    # absent nodes listen: every transmitter plus some listeners
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    partial = {v: msg for v, msg in actions.items() if msg is not None or keep[v]}
+    part_obs = resolve_round(g, partial)
+    assert set(partial) <= set(part_obs)
+    for v in range(n):
+        if v in part_obs:
+            assert part_obs[v] == obs[v]
+        else:
+            assert obs[v] is SILENCE

@@ -111,7 +111,8 @@ def test_weight_conservation(seed):
     g = random_connected_graph(n, 10, seed * 7 + 1)
     d, plan, weights = oracle(g)
     for l in range(d.h + 1):
-        assert sum(weights[v] for v in d.levels[l]) == d.nodes_at_or_below(l)
+        at_or_below = sum(len(vs) for vs in d.levels[l:])
+        assert sum(weights[v] for v in d.levels[l]) == at_or_below
     assert weights[d.root] == g.n
 
 
