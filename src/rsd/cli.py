@@ -129,7 +129,7 @@ def cmd_lowerbound(args) -> int:
         sys.stdout.write(_stable_json(report))
         return 0
     report = check_lemmas(
-        args.delta, trials=args.trials, rounds=args.rounds, seed=args.seed, beta=args.beta or 1
+        args.delta, trials=args.trials, rounds=args.rounds, seed=args.seed, beta=args.beta
     )
     sys.stdout.write(_stable_json(report))
     return 0 if not report["violations"] else 1

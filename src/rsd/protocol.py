@@ -26,6 +26,7 @@ final level's echo would collide with the hop relay that follows.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
@@ -35,7 +36,6 @@ from .labels import Label, LabelingScheme, assign_labels
 from .radio import (
     COLLISION,
     NOT_LISTENING,
-    SILENCE,
     CollisionTagMsg,
     DeltaLearn,
     Heard,
@@ -63,7 +63,7 @@ from .upper_sets import (
 _PULSE = WavePulse()
 _STOP = Stop()
 
-MAX_WAVE_BITS = 2 * 64 + 2  # decoder hygiene cap: values fit in 64 bits
+MAX_WAVE_BITS = 2 * 64 + 2  # longest wave pattern: values fit in 64 bits
 
 
 class MalformedWaveError(ValueError):
@@ -82,6 +82,8 @@ def wave_encode(x: int) -> str:
     """Bit-serial schedule for x: each 1 becomes 10, each 0 becomes 00, then 11."""
     if x < 1:
         raise ValueError(f"wave value must be >= 1, got {x}")
+    if wave_span(x) > MAX_WAVE_BITS:
+        raise ValueError(f"wave value {x} needs more than MAX_WAVE_BITS = {MAX_WAVE_BITS} rounds")
     return "".join("10" if c == "1" else "00" for c in format(x, "b")) + "11"
 
 
@@ -134,68 +136,55 @@ def tau_formula(delta: int, x: int) -> int:
 # --- the in-simulation wave listener -----------------------------------------
 
 class WaveListener:
-    """Collects pulse patterns against every plausible start round at once.
+    """Decodes a wave from the rounds in which the node heard a pulse.
 
     Ambient collision noise (simultaneous stops, tag slot clashes) is
-    indistinguishable from a wave pulse, so a single-buffer decoder can be
-    poisoned and miss the real wave.  Instead, every non-silent round also
-    opens a fresh candidate alignment; candidates die on structural
-    violations (a pair's second bit set early, overlong buffers) or when
-    their decoded value fails the caller's validator.  The validator gets
+    indistinguishable from a wave pulse, so every pulse round may be the
+    start of the real wave.  When a pulse closes an 11 pair, the listener
+    decodes the pattern from each candidate start, oldest first, that
+    follows the last clean typed message, fits MAX_WAVE_BITS and spans
+    whole pairs; malformed patterns are skipped.  The validator gets
     (value, finish_round) and accepts by returning a context dict; since it
-    checks exact round arithmetic, only the true alignment survives to
-    acceptance.
+    checks exact round arithmetic, only the true alignment is accepted.
+    Rounds the node spent transmitting count as silent.  A listener serves
+    one wave: callers drop it once it accepted.
     """
 
-    __slots__ = ("validator", "cands")
-
-    MAX_CANDIDATES = 64
+    __slots__ = ("validator", "cands", "typed")
 
     def __init__(self, validator: Callable[[int, int], Optional[dict]]):
         self.validator = validator
-        self.cands: List[str] = []  # per alignment: "1" per non-silent round, "0" per silent
+        self.cands: List[int] = []  # ascending pulse rounds; each is a candidate wave start
+        self.typed = 0  # round of the last clean typed message: no wave spans it
 
-    def silence_span(self, count: int) -> None:
-        if count <= 0 or not self.cands:
-            return
-        if count >= MAX_WAVE_BITS:
-            self.cands.clear()
-            return
-        pad = "0" * count
-        self.cands = [bits + pad for bits in self.cands if len(bits) + count <= MAX_WAVE_BITS]
-
-    def typed_message(self) -> None:
-        """A clean non-pulse message: no wave is in the air at this round."""
-        self.cands.clear()
+    def typed_message(self, r: int) -> None:
+        """A clean non-pulse message: no wave is in the air at round r."""
+        self.typed = r
 
     def pulse(self, r: int) -> Optional[dict]:
-        """A non-silent round: extend all candidates, spawn one, check terminators.
-
-        The pulse either opens a pair, which every candidate survives while
-        it fits MAX_WAVE_BITS, or closes one: a terminator if the pair is
-        11, malformed otherwise.  A terminated candidate is decoded and
-        offered to the validator; either way its alignment ends here.
-        """
-        survivors: List[str] = []
-        for bits in self.cands:
-            if len(bits) % 2 == 0:
-                if len(bits) < MAX_WAVE_BITS:
-                    survivors.append(bits + "1")
-            elif bits[-1] == "1":
-                try:
-                    value = wave_decode(bits + "1")
-                except MalformedWaveError:
-                    continue
-                got = self.validator(value, r)
-                if got is not None:
-                    got["value"] = value
-                    got["round"] = r
-                    self.cands.clear()
-                    return got
-        survivors.append("1")
-        if len(survivors) > self.MAX_CANDIDATES:
-            survivors = survivors[-self.MAX_CANDIDATES :]
-        self.cands = survivors
+        """A non-silent round: record it and, if it closes an 11 pair, decode."""
+        cands = self.cands
+        cands.append(r)
+        if len(cands) < 2 or cands[-2] != r - 1:
+            return None
+        lo = max(self.typed + 1, r - MAX_WAVE_BITS + 1)
+        starts = cands[bisect_left(cands, lo) :]
+        bits = ["0"] * (r - lo + 1)
+        for q in starts:
+            bits[q - lo] = "1"
+        window = "".join(bits)
+        for s in starts:
+            if (r - s) % 2 == 0:
+                continue
+            try:
+                value = wave_decode(window[s - lo :])
+            except MalformedWaveError:
+                continue
+            got = self.validator(value, r)
+            if got is not None:
+                got["value"] = value
+                got["round"] = r
+                return got
         return None
 
 
@@ -226,11 +215,9 @@ class SizeDiscoveryNode:
         self.t2p: Optional[int] = None
         self.tau: Optional[int] = None
 
-        self._round = 0
         self._outbox: Dict[int, Message] = {}
         self._alarms: List[Tuple[int, str, tuple]] = []
         self._listener: Optional[WaveListener] = None
-        self._noise_rounds: List[int] = []
 
         self._delta_bits: Dict[int, int] = {}
         self._hop_relayed = False
@@ -256,7 +243,7 @@ class SizeDiscoveryNode:
         return self.output is not None and not self._outbox
 
     def decide(self, r: int) -> Optional[Message]:
-        self._catch_up(r)
+        self._fire_alarms(r)
         entry = self._outbox.pop(r, None)
         if entry is None:
             return None
@@ -265,10 +252,9 @@ class SizeDiscoveryNode:
         return entry
 
     def observe(self, r: int, obs: Observation) -> None:
-        self._catch_up(r)
+        self._fire_alarms(r)
         if obs is not NOT_LISTENING:
             self._dispatch(r, obs)
-        self._round = max(self._round, r)
 
     def next_transmit_round(self, r: int) -> Optional[int]:
         self._fire_alarms(r)
@@ -304,12 +290,6 @@ class SizeDiscoveryNode:
             when, tag, args = heappop(self._alarms)
             getattr(self, f"_on_{tag}")(when, *args)
 
-    def _catch_up(self, r: int) -> None:
-        self._fire_alarms(r)
-        if self._listener is not None and r - 1 > self._round:
-            self._listener.silence_span(r - 1 - self._round)
-        self._round = max(self._round, r - 1)
-
     def _desync(self, message: str, r: int) -> None:
         raise ProtocolDesyncError(message, r, self.node_id, self.stage)
 
@@ -318,11 +298,12 @@ class SizeDiscoveryNode:
 
     def _arm_listener(self, validator) -> None:
         self._listener = WaveListener(validator)
-        self._noise_rounds = []
 
     def _quiet_since(self, quiet_from: int, front: int) -> bool:
         """True iff no untyped non-silence was heard in (quiet_from, front]."""
-        return not any(quiet_from < q <= front for q in self._noise_rounds)
+        heard = self._listener.cands
+        i = bisect_right(heard, quiet_from)
+        return i == len(heard) or heard[i] > front
 
     # -- wave validators --
     #
@@ -395,17 +376,10 @@ class SizeDiscoveryNode:
             handler(r, obs)
 
     def _feed_listener(self, r: int, obs: Observation) -> Optional[dict]:
-        lst = self._listener
-        assert lst is not None
-        if obs is SILENCE:
-            lst.silence_span(1)
-            return None
         if obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, WavePulse)):
-            self._noise_rounds.append(r)
-            return lst.pulse(r)
+            return self._listener.pulse(r)
         if isinstance(obs, Heard):
-            lst.typed_message()
-            return None
+            self._listener.typed_message(r)
         return None
 
     # -- stage: root collecting degree tags --
@@ -730,7 +704,6 @@ def run_protocol(
     g: Graph,
     engine: str = "fast",
     record_trace: bool = False,
-    cap_multiplier: Optional[int] = None,
 ) -> ProtocolResult:
     """Label the graph, run size discovery, and audit the outputs against n."""
     if g.n < 2:
@@ -739,8 +712,7 @@ def run_protocol(
     plan = compute_upper_sets(g, d)
     weights = compute_weights(plan, d)
     scheme = assign_labels(g, d, plan, weights)
-    mult = cap_multiplier if cap_multiplier is not None else round_cap_multiplier()
-    cap = mult * g.diameter() * g.n * g.n * bitlen(d.delta)
+    cap = round_cap_multiplier() * g.diameter() * g.n * g.n * bitlen(d.delta)
     nodes = {v: SizeDiscoveryNode(scheme.labels[v], node_id=v) for v in range(g.n)}
 
     failure = None

@@ -240,10 +240,10 @@ def run_scheduled(
 ) -> int:
     """Fast engine: jump between rounds where some node may transmit.
 
-    Sound because an untouched automaton only ever moves its next pending
-    transmission later, never earlier, in response to silence; a lazy heap
-    of declared rounds therefore always knows the next globally non-silent
-    round.  Returns the last round in which anyone transmitted.
+    Sound because automata ignore silence: the next pending transmission of
+    an automaton that no round touches never moves earlier, so a lazy heap
+    of declared rounds always knows the next globally non-silent round.
+    Returns the last round in which anyone transmitted.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")

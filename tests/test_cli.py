@@ -1,6 +1,7 @@
 import json
 import math
 
+from rsd import cli
 from rsd.cli import MAX_BETA, main
 from rsd.graphs import parse_graph
 from rsd.history_lab import pattern_bound
@@ -173,6 +174,18 @@ def test_lowerbound_lemmas(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["violations"] == []
     assert report["delta"] == 4 and report["trials"] == 5 and report["rounds"] == 30
+
+
+def test_lowerbound_lemmas_passes_beta_zero(monkeypatch):
+    seen = {}
+
+    def fake_check_lemmas(delta, **kwargs):
+        seen.update(kwargs)
+        return {"violations": []}
+
+    monkeypatch.setattr(cli, "check_lemmas", fake_check_lemmas)
+    assert run_cli("lowerbound", "lemmas", "--delta", "4", "--beta", "0") == 0
+    assert seen["beta"] == 0
 
 
 def test_gen_graph_kind(tmp_path):

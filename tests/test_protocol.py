@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from rsd.generators import path, random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
 from rsd.protocol import (
+    MAX_WAVE_BITS,
     MalformedWaveError,
     run_protocol,
     t1_formula,
@@ -21,6 +22,12 @@ def test_wave_encode_known_values():
     assert wave_encode(13) == "1010001011"
     assert wave_encode(1) == "1011"
     assert wave_encode(5) == "10001011"
+
+
+def test_wave_encode_limited_to_max_wave_bits():
+    assert len(wave_encode(2**64 - 1)) == MAX_WAVE_BITS
+    with pytest.raises(ValueError, match="MAX_WAVE_BITS"):
+        wave_encode(2**64)
 
 
 def test_wave_encode_rejects_zero():
@@ -128,13 +135,6 @@ def test_round_cap_respected_and_reported():
     assert res.rounds_used <= res.round_cap
     d = decompose(g)
     assert res.round_cap == 64 * g.diameter() * g.n * g.n * bitlen(d.delta)
-
-
-def test_cap_multiplier_override():
-    res = run_protocol(star(2), cap_multiplier=1)
-    # 1 * D * n^2 * m = 2 * 9 * 2 = 36 rounds is too few to finish
-    assert not res.ok
-    assert "cap" in (res.failure or "")
 
 
 def test_parameter_learning_lemma():
@@ -262,11 +262,21 @@ def test_phase_wave_distance_matches_bfs():
             assert events[0][4] == dist[v], (v, i)
 
 
+def test_cap_multiplier_override(monkeypatch):
+    monkeypatch.setenv("RSD_ROUND_CAP_MULTIPLIER", "1")
+    res = run_protocol(star(2))
+    # 1 * D * n^2 * m = 2 * 9 * 2 = 36 rounds is too few to finish
+    assert res.round_cap == 36
+    assert not res.ok
+    assert "cap" in (res.failure or "")
+
+
 def test_round_cap_env_override(monkeypatch):
     monkeypatch.setenv("RSD_ROUND_CAP_MULTIPLIER", "1")
     res = run_protocol(star(1))
     assert res.round_cap == 1 * 1 * 4 * 1
     assert not res.ok
+    assert "cap" in (res.failure or "")
 
 
 @given(st.text(alphabet="01", min_size=0, max_size=40))
@@ -366,7 +376,8 @@ def test_member_stops_match_oracle_completion_blocks(kind, s):
 
 
 def _drive_listener(listener, schedule, start, end):
-    """Feed rounds start..end: schedule maps round -> 'pulse'|'typed'."""
+    """Feed rounds start..end: schedule maps round -> 'pulse'|'typed'; the
+    other rounds are silent, which the listener is not told."""
     hits = []
     for r in range(start, end + 1):
         kind = schedule.get(r)
@@ -375,9 +386,7 @@ def _drive_listener(listener, schedule, start, end):
             if got:
                 hits.append(got)
         elif kind == "typed":
-            listener.typed_message()
-        else:
-            listener.silence_span(1)
+            listener.typed_message(r)
     return hits
 
 
@@ -434,13 +443,30 @@ def test_listener_typed_message_clears_then_recovers():
 
 
 def test_listener_long_silence_drops_stale_candidates():
-    from rsd.protocol import WaveListener, MAX_WAVE_BITS
+    # a lone pulse, silence, then 11 spells 10 00..00 11, a power of two;
+    # the start is offered only while its pattern fits MAX_WAVE_BITS
+    from rsd.protocol import WaveListener
 
-    listener = WaveListener(lambda v, r: None)
-    listener.pulse(10)
-    assert listener.cands
-    listener.silence_span(MAX_WAVE_BITS + 1)
-    assert not listener.cands
+    for length, expected in ((MAX_WAVE_BITS, [2**63]), (MAX_WAVE_BITS + 2, [])):
+        listener = WaveListener(lambda v, r: {})
+        finish = 10 + length - 1
+        schedule = {10: "pulse", finish - 1: "pulse", finish: "pulse"}
+        hits = _drive_listener(listener, schedule, 10, finish)
+        assert [got["value"] for got in hits] == expected
+
+
+def test_listener_decodes_largest_wave_value():
+    # 2**64 - 1 pulses 65 times: every pulse round stays a candidate start
+    from rsd.protocol import WaveListener
+
+    value, start = 2**64 - 1, 40
+    pattern = wave_encode(value)
+    finish = start + len(pattern) - 1
+    listener = WaveListener(lambda v, r: {"ok": True} if (v, r) == (value, finish) else None)
+    schedule = {start + i: "pulse" for i, c in enumerate(pattern) if c == "1"}
+    hits = _drive_listener(listener, schedule, start, finish)
+    assert len(pattern) == MAX_WAVE_BITS
+    assert len(hits) == 1 and hits[0]["value"] == value
 
 
 def test_protocol_trace_model_soundness():
