@@ -102,9 +102,8 @@ def cmd_run(args) -> int:
     if g.n < 2:
         print("size discovery requires n >= 2", file=sys.stderr)
         return 2
-    engine = "reference" if args.trace else "fast"
-    result = run_protocol(g, engine=engine, record_trace=bool(args.trace))
-    if args.trace and result.trace is not None:
+    result = run_protocol(g, record_trace=bool(args.trace))
+    if args.trace:
         _write(args.trace, result.trace.format_text())
     report = _stable_json(result.report(g))
     if args.report:

@@ -95,7 +95,7 @@ class Graph:
         return dist
 
     def diameter(self) -> int:
-        """Exact diameter via BFS from every node."""
+        """Exact diameter via one BFS per node: n BFS runs, O(n·(n + m)) time."""
         best = 0
         for v in range(self.n):
             best = max(best, max(self.bfs_levels(v)))

@@ -47,7 +47,6 @@ from .radio import (
     Stop,
     WavePulse,
     WeightReport,
-    run,
     run_scheduled,
 )
 from .upper_sets import (
@@ -258,15 +257,10 @@ class SizeDiscoveryNode:
 
     def next_transmit_round(self, r: int) -> Optional[int]:
         self._fire_alarms(r)
-        best = None
-        for k in self._outbox:
-            if k >= r and (best is None or k < best):
-                best = k
-        for k, _tag, _args in self._alarms:
-            if k >= r and (best is None or k < best):
-                best = k
-                break  # heap: first entry is minimal
-        return best
+        nxt = min(self._outbox) if self._outbox else None
+        if self._alarms and (nxt is None or self._alarms[0][0] < nxt):
+            return self._alarms[0][0]
+        return nxt
 
     # -- internal plumbing --
 
@@ -557,7 +551,6 @@ class SizeDiscoveryNode:
             return  # mid-block traffic belongs to members
         if obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, Stop)):
             self._event("child_complete", self.phase, r)
-            self._outbox = {k: v for k, v in self._outbox.items() if k <= r}
             self._arm_phase_end_listener()
 
     # members ----------------------------------------------------------------
@@ -670,7 +663,11 @@ class SizeDiscoveryNode:
 
 @dataclass
 class ProtocolResult:
-    """Outcome of one end-to-end run plus everything tests need to audit it."""
+    """Outcome of one end-to-end run plus everything tests need to audit it.
+
+    `trace` is the run's `SimulationTrace` when one was asked for, else
+    None; if the run failed it holds the rounds resolved before the failure.
+    """
 
     ok: bool
     outputs: Dict[int, Optional[int]]
@@ -697,14 +694,17 @@ class ProtocolResult:
 
 
 def round_cap_multiplier() -> int:
-    return int(os.environ.get("RSD_ROUND_CAP_MULTIPLIER", "64"))
+    """The round cap's multiplier: RSD_ROUND_CAP_MULTIPLIER, default 64."""
+    raw = os.environ.get("RSD_ROUND_CAP_MULTIPLIER", "64")
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValueError(f"RSD_ROUND_CAP_MULTIPLIER must be a positive integer, got {raw!r}")
 
 
-def run_protocol(
-    g: Graph,
-    engine: str = "fast",
-    record_trace: bool = False,
-) -> ProtocolResult:
+def run_protocol(g: Graph, record_trace: bool = False) -> ProtocolResult:
     """Label the graph, run size discovery, and audit the outputs against n."""
     if g.n < 2:
         raise ValueError("size discovery requires n >= 2: the root must have a neighbor")
@@ -716,14 +716,9 @@ def run_protocol(
     nodes = {v: SizeDiscoveryNode(scheme.labels[v], node_id=v) for v in range(g.n)}
 
     failure = None
-    trace = None
+    trace = SimulationTrace(g.n) if record_trace else None
     try:
-        if engine == "fast":
-            rounds_used = run_scheduled(g, nodes, cap)
-        elif engine == "reference":
-            trace, rounds_used = run(g, nodes, cap, record_trace=record_trace)
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
+        rounds_used = run_scheduled(g, nodes, cap, trace)
     except SimulationError as exc:
         failure = str(exc)
         rounds_used = cap
@@ -743,6 +738,6 @@ def run_protocol(
         plan=plan,
         oracle_weights=weights,
         nodes=nodes,
-        trace=trace if record_trace else None,
+        trace=trace,
         failure=failure,
     )

@@ -6,10 +6,11 @@ two or more transmitting neighbors produce collision noise, zero produce
 silence.  Transmitters learn nothing in their own round.
 
 Two engines drive automata over this model, and both resolve each round
-through `resolve_round`.  `run` visits every round and every node (the
-reference semantics).  `run_scheduled` skips globally silent stretches by
-asking automata when they might transmit next, and steps only the nodes a
-round can affect; it is validated against `run` in tests.
+through `resolve_round`.  `run_scheduled` drives every run: it skips
+globally silent stretches by asking automata when they might transmit
+next, steps only the nodes a round can affect, and can record a trace.
+`run` visits every round and every node (the reference semantics); the
+tests check `run_scheduled` against it.
 """
 from __future__ import annotations
 
@@ -148,19 +149,42 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class SimulationTrace:
-    """Per-round actions and observations (reference engine only)."""
+    """The actions and observations of the rounds an engine resolved.
 
-    rounds: List[Tuple[Dict[int, Optional[Message]], Dict[int, Observation]]] = field(
-        default_factory=list
+    `rounds` maps a round to its (actions, observations), each keyed by
+    node; `last` is the trace's final round.  A round missing from
+    `rounds`, or a node missing from a recorded round, listened and heard
+    silence: in this model a round is silent unless someone transmits, so
+    the non-silent rounds fix the whole trace.
+    """
+
+    n: int
+    rounds: Dict[int, Tuple[Dict[int, Optional[Message]], Dict[int, Observation]]] = field(
+        default_factory=dict
     )
+    last: int = 0
+
+    def record(
+        self, r: int, actions: Dict[int, Optional[Message]], obs: Dict[int, Observation]
+    ) -> None:
+        self.rounds[r] = (actions, obs)
+        self.last = r
 
     def format_text(self) -> str:
-        """Trace file format: `round node action observation` per line."""
-        lines = []
-        for r, (actions, obs) in enumerate(self.rounds, start=1):
-            for v in sorted(actions):
-                lines.append(f"{r} {v} {_action_str(actions[v])} {_obs_str(obs[v])}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        """Trace file format: `round node action observation` per line, for
+        rounds 1..last and nodes 0..n-1."""
+        silent = "".join(f"{{0}} {v} L S\n" for v in range(self.n))
+        chunks = []
+        for r in range(1, self.last + 1):
+            text = silent.format(r)
+            if r in self.rounds:
+                actions, obs = self.rounds[r]
+                lines = text.splitlines(keepends=True)
+                for v, o in obs.items():  # every node that acted or heard anything
+                    lines[v] = f"{r} {v} {_action_str(actions.get(v))} {_obs_str(o)}\n"
+                text = "".join(lines)
+            chunks.append(text)
+        return "".join(chunks)
 
 
 def _action_str(msg: Optional[Message]) -> str:
@@ -209,16 +233,16 @@ def run(
     g: Graph,
     automata: Dict[int, Automaton],
     max_rounds: int,
-    record_trace: bool = True,
 ) -> Tuple[SimulationTrace, int]:
     """Reference engine: visit rounds 1..max_rounds, stepping every node.
 
-    Returns the trace and the last round in which anyone transmitted (0 if
-    nobody ever did).  Stops early once every automaton is done.
+    Returns the trace of every visited round and the last round in which
+    anyone transmitted (0 if nobody ever did).  Stops early once every
+    automaton is done.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
-    trace = SimulationTrace()
+    trace = SimulationTrace(g.n)
     last_activity = 0
     for r in range(1, max_rounds + 1):
         if all(a.done for a in automata.values()):
@@ -226,8 +250,7 @@ def run(
         actions = _decide(automata, range(g.n), r)
         obs = resolve_round(g, actions)
         _observe(automata, range(g.n), r, obs)
-        if record_trace:
-            trace.rounds.append((actions, obs))
+        trace.record(r, actions, obs)
         if any(msg is not None for msg in actions.values()):
             last_activity = r
     return trace, last_activity
@@ -237,12 +260,15 @@ def run_scheduled(
     g: Graph,
     automata: Dict[int, Automaton],
     max_rounds: int,
+    trace: Optional[SimulationTrace] = None,
 ) -> int:
     """Fast engine: jump between rounds where some node may transmit.
 
     Sound because automata ignore silence: the next pending transmission of
     an automaton that no round touches never moves earlier, so a lazy heap
     of declared rounds always knows the next globally non-silent round.
+    Every round it resolves goes into `trace`, if given; when the cap stops
+    the run, the trace ends at round max_rounds, as the reference's does.
     Returns the last round in which anyone transmitted.
     """
     if max_rounds < 0:
@@ -275,6 +301,8 @@ def run_scheduled(
                 v,
             )
         if r > max_rounds:
+            if trace is not None:
+                trace.last = max_rounds
             return last_activity
         candidates: List[int] = []
         while heap and heap[0][0] == r:
@@ -284,6 +312,8 @@ def run_scheduled(
         actions = _decide(automata, candidates, r)
         obs = resolve_round(g, actions)
         _observe(automata, sorted(obs), r, obs)
+        if trace is not None:
+            trace.record(r, actions, obs)
         for v in obs:
             if automata[v].done:
                 not_done.discard(v)

@@ -1,10 +1,13 @@
 import json
 import math
 
-from rsd import cli
+import pytest
+
+from rsd import cli, radio
 from rsd.cli import MAX_BETA, main
-from rsd.graphs import parse_graph
+from rsd.graphs import Graph, parse_graph
 from rsd.history_lab import pattern_bound
+from rsd.protocol import SizeDiscoveryNode, run_protocol
 
 
 def run_cli(*args):
@@ -114,6 +117,34 @@ def test_run_emits_trace(tmp_path):
     assert first[0] == "1" and first[1] == "0"
     # every line is round node action observation
     assert all(len(line.split()) == 4 for line in lines)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1)],
+        [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (4, 6)],
+        [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 2)],
+    ],
+    ids=["K2", "tree", "cycles"],
+)
+def test_run_trace_matches_reference_engine(tmp_path, edges):
+    g = Graph.from_edges(1 + max(max(e) for e in edges), edges)
+    graph_file, trace = tmp_path / "g.g", tmp_path / "trace.txt"
+    graph_file.write_text(g.to_text())
+    assert run_cli("run", str(graph_file), "--trace", str(trace)) == 0
+    res = run_protocol(g)
+    nodes = {v: SizeDiscoveryNode(res.scheme.labels[v], v) for v in range(g.n)}
+    assert read(trace) == radio.run(g, nodes, res.round_cap)[0].format_text()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_run_rejects_bad_cap_multiplier(tmp_path, monkeypatch, capsys, value):
+    g = tmp_path / "k2.g"
+    g.write_text("2 1\n0 1\n")
+    monkeypatch.setenv("RSD_ROUND_CAP_MULTIPLIER", value)
+    assert run_cli("run", str(g)) == 2
+    assert "RSD_ROUND_CAP_MULTIPLIER must be a positive integer" in capsys.readouterr().err
 
 
 def test_run_single_node_usage_error(tmp_path):

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from rsd import radio
 from rsd.generators import path, random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
 from rsd.protocol import (
     MAX_WAVE_BITS,
     MalformedWaveError,
+    SizeDiscoveryNode,
     run_protocol,
     t1_formula,
     tau_formula,
@@ -119,14 +121,22 @@ def test_single_node_rejected():
         run_protocol(g)
 
 
+def _reference_run(g, res):
+    """The reference engine on a protocol run's labels and round cap:
+    (nodes, trace, rounds_used)."""
+    nodes = {v: SizeDiscoveryNode(res.scheme.labels[v], v) for v in range(g.n)}
+    trace, rounds_used = radio.run(g, nodes, res.round_cap)
+    return nodes, trace, rounds_used
+
+
 def test_engines_agree():
     for g in (star(3), path(5), random_connected_graph(14, 5, 2)):
-        fast = run_protocol(g, engine="fast")
-        ref = run_protocol(g, engine="reference")
-        assert fast.outputs == ref.outputs
-        assert fast.rounds_used == ref.rounds_used
+        fast = run_protocol(g)
+        ref_nodes, _trace, ref_rounds = _reference_run(g, fast)
+        assert fast.outputs == {v: ref_nodes[v].output for v in range(g.n)}
+        assert fast.rounds_used == ref_rounds
         for v in range(g.n):
-            assert fast.nodes[v].events == ref.nodes[v].events
+            assert fast.nodes[v].events == ref_nodes[v].events
 
 
 def test_round_cap_respected_and_reported():
@@ -271,6 +281,20 @@ def test_cap_multiplier_override(monkeypatch):
     assert "cap" in (res.failure or "")
 
 
+def test_cap_exhausted_trace_matches_reference(monkeypatch):
+    # the fast engine's trace of a capped run ends at the cap, silent rounds
+    # filled in, exactly as the reference engine's does
+    monkeypatch.setenv("RSD_ROUND_CAP_MULTIPLIER", "1")
+    g = star(2)
+    res = run_protocol(g, record_trace=True)
+    assert "cap" in (res.failure or "")
+    assert res.trace.last == res.round_cap == 36
+    _nodes, ref_trace, _rounds = _reference_run(g, res)
+    text = res.trace.format_text()
+    assert text == ref_trace.format_text()
+    assert len(text.splitlines()) == 36 * g.n
+
+
 def test_round_cap_env_override(monkeypatch):
     monkeypatch.setenv("RSD_ROUND_CAP_MULTIPLIER", "1")
     res = run_protocol(star(1))
@@ -341,13 +365,14 @@ def test_engine_parity_across_shapes(shape):
             random_tree(6 + 2 * seed, 4, seed),
             random_connected_graph(8 + 2 * seed, 5, seed, extra_edges=seed),
         ][seed % 4]
-    fast = run_protocol(g, engine="fast")
-    ref = run_protocol(g, engine="reference")
-    assert fast.ok and ref.ok
-    assert fast.outputs == ref.outputs
-    assert fast.rounds_used == ref.rounds_used
+    fast = run_protocol(g, record_trace=True)
+    ref_nodes, ref_trace, ref_rounds = _reference_run(g, fast)
+    assert fast.ok and all(ref_nodes[v].done for v in range(g.n))
+    assert fast.outputs == {v: ref_nodes[v].output for v in range(g.n)}
+    assert fast.rounds_used == ref_rounds
+    assert fast.trace.format_text() == ref_trace.format_text()
     for v in range(g.n):
-        assert fast.nodes[v].events == ref.nodes[v].events
+        assert fast.nodes[v].events == ref_nodes[v].events
 
 
 @pytest.mark.parametrize("s", range(7))
@@ -471,11 +496,17 @@ def test_listener_decodes_largest_wave_value():
 
 def test_protocol_trace_model_soundness():
     g = random_connected_graph(10, 4, 6)
-    res = run_protocol(g, engine="reference", record_trace=True)
+    res = run_protocol(g, record_trace=True)
     assert res.ok
     from rsd.radio import COLLISION, NOT_LISTENING, SILENCE, Heard
 
-    for actions, obs in res.trace.rounds:
+    # the fast engine records the rounds it resolved: a node absent from a
+    # round listened and heard silence
+    assert res.trace.last == res.rounds_used
+    for r in range(1, res.trace.last + 1):
+        recorded_actions, recorded_obs = res.trace.rounds.get(r, ({}, {}))
+        actions = {v: recorded_actions.get(v) for v in range(g.n)}
+        obs = {v: recorded_obs.get(v, SILENCE) for v in range(g.n)}
         for v in range(g.n):
             talkers = [w for w in g.adj[v] if actions[w] is not None]
             if actions[v] is not None:

@@ -10,6 +10,7 @@ from rsd.radio import (
     Heard,
     Opaque,
     SimulationError,
+    SimulationTrace,
     resolve_round,
     run,
     run_scheduled,
@@ -69,7 +70,7 @@ def test_zero_round_run():
     g = star(1)
     autos = {0: Dummy(linger=True), 1: Dummy(linger=True)}
     trace, last = run(g, autos, 0)
-    assert trace.rounds == [] and last == 0
+    assert trace.rounds == {} and trace.last == 0 and last == 0
     assert autos[0].seen == []
 
 
@@ -131,7 +132,7 @@ def test_model_soundness_recheck_from_trace():
     g = random_connected_graph(15, 5, 8)
     autos = {v: Dummy({1 + (v % 4): Opaque(str(v))}) for v in range(g.n)}
     trace, _ = run(g, autos, 5)
-    for actions, obs in trace.rounds:
+    for actions, obs in trace.rounds.values():
         for v in range(g.n):
             transmitting = [w for w in g.adj[v] if actions[w] is not None]
             if actions[v] is not None:
@@ -152,10 +153,14 @@ def test_scheduled_engine_agrees_with_reference():
         return {v: Dummy(dict(sched[v])) for v in range(g.n)}
 
     ref = build()
-    run(g, ref, 20)
+    ref_trace, _ = run(g, ref, 20)
     fast = build()
-    last = run_scheduled(g, fast, 20)
+    trace = SimulationTrace(g.n)
+    last = run_scheduled(g, fast, 20, trace)
     assert last == max(r for v in range(g.n) for r in sched[v])
+    # only the resolved rounds are recorded; silence fills in the rest
+    assert len(trace.rounds) < len(ref_trace.rounds)
+    assert trace.format_text() == ref_trace.format_text()
     for v in range(g.n):
         nonsilent_ref = [(r, o) for r, o in ref[v].seen if o is not SILENCE]
         nonsilent_fast = [(r, o) for r, o in fast[v].seen if o is not SILENCE]
