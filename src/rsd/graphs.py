@@ -155,12 +155,7 @@ def parse_graph(text: str) -> Graph:
                 f"duplicate edge ({e[0]}, {e[1]}), first seen at line {seen[e]}", lineno
             )
         seen[e] = lineno
-    try:
-        return Graph.from_edges(n, edges)
-    except GraphFormatError as exc:
-        if exc.line is None:
-            raise GraphFormatError(str(exc)) from None
-        raise
+    return Graph.from_edges(n, edges)
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def compute_histories(
     out = [dict(current)]
     for _t in range(rounds):
         actions = {
-            v: Opaque(str(current[v])) if automaton(table.digest(current[v])) else None
+            v: Opaque(current[v]) if automaton(table.digest(current[v])) else None
             for v in range(g.n)
         }
         obs = resolve_round(g, actions)
@@ -139,7 +139,7 @@ def compute_histories(
         for v in range(g.n):
             o = obs[v]
             if isinstance(o, Heard):
-                nxt[v] = table.extend(current[v], SUB, int(o.message.payload))
+                nxt[v] = table.extend(current[v], SUB, o.message.payload)
             elif o is COLLISION:
                 nxt[v] = table.extend(current[v], STAR)
             else:

@@ -17,11 +17,13 @@ and what it hears, in three procedures:
 
 Flooding (the wave subroutine) encodes a value bit-serially: 1 -> 10,
 0 -> 00, terminated by 11, spreading level by level with each level
-occupying 2k+2 rounds.  Relaying is suppressed where it cannot serve a
-deeper node: root-initiated waves are relayed only by upper-set members
-(whose neighborhoods cover the next level), and mid-phase waves only while
-the 2h-block propagation budget allows.  Without that suppression, the
-final level's echo would collide with the hop relay that follows.
+occupying 2k+2 rounds.  A node awaits each wave the same way (`_await`)
+and relays every accepted wave by one rule (`_relay`), which suppresses
+relaying where it cannot serve a deeper node: root-initiated waves are
+relayed only by upper-set members (whose neighborhoods cover the next
+level), and mid-phase waves only while the 2h-block propagation budget
+allows.  Without that suppression, the final level's echo would collide
+with the hop relay that follows.
 """
 from __future__ import annotations
 
@@ -146,7 +148,7 @@ class WaveListener:
     (value, finish_round) and accepts by returning a context dict; since it
     checks exact round arithmetic, only the true alignment is accepted.
     Rounds the node spent transmitting count as silent.  A listener serves
-    one wave: callers drop it once it accepted.
+    one wave: `SizeDiscoveryNode.observe` drops it once it has accepted one.
     """
 
     __slots__ = ("validator", "cands", "typed")
@@ -217,10 +219,9 @@ class SizeDiscoveryNode:
         self._outbox: Dict[int, Message] = {}
         self._alarms: List[Tuple[int, str, tuple]] = []
         self._listener: Optional[WaveListener] = None
+        self._on_wave: Optional[Callable[[int, dict], None]] = None
 
         self._delta_bits: Dict[int, int] = {}
-        self._hop_relayed = False
-        self._block_no = 0
         self._window_clean = True
         self._tags_heard: Dict[int, int] = {}
         self._reports_heard: Dict[int, Dict[int, int]] = {}
@@ -230,8 +231,7 @@ class SizeDiscoveryNode:
             self.level = 0
             self.m = label.l1.id
         else:
-            self.stage = "wave_delta"
-            self._arm_listener(self._validate_delta_wave)
+            self._await("wave_delta", self._validate_delta_wave, self._got_delta)
             if label.l1.active():
                 self._schedule(label.l1.id, DeltaLearn(label.l1))
 
@@ -252,8 +252,22 @@ class SizeDiscoveryNode:
 
     def observe(self, r: int, obs: Observation) -> None:
         self._fire_alarms(r)
-        if obs is not NOT_LISTENING:
-            self._dispatch(r, obs)
+        if obs is NOT_LISTENING:
+            return
+        listener = self._listener
+        if listener is None:
+            handler = getattr(self, f"_obs_{self.stage}", None)
+            if handler is not None:
+                handler(r, obs)
+        elif obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, WavePulse)):
+            got = listener.pulse(r)
+            if got is not None:
+                on_wave = self._on_wave
+                self._listener = self._on_wave = None
+                self._relay(r, got)
+                on_wave(r, got)
+        elif isinstance(obs, Heard):
+            listener.typed_message(r)
 
     def next_transmit_round(self, r: int) -> Optional[int]:
         self._fire_alarms(r)
@@ -290,8 +304,27 @@ class SizeDiscoveryNode:
     def _event(self, *items) -> None:
         self.events.append(items)
 
-    def _arm_listener(self, validator) -> None:
+    # -- awaiting a wave --
+
+    def _await(
+        self,
+        stage: str,
+        validator: Callable[[int, int], Optional[dict]],
+        on_wave: Callable[[int, dict], None],
+    ) -> None:
+        """Enter `stage` and listen for one wave: once `validator` accepts it,
+        `observe` drops the listener, relays the wave and calls `on_wave`."""
+        self.stage = stage
         self._listener = WaveListener(validator)
+        self._on_wave = on_wave
+
+    def _relay(self, r: int, got: dict) -> None:
+        """The one relay rule: a root-initiated wave (no distance) goes on from
+        upper-set members, whose neighborhoods cover the next level; a
+        mid-phase wave goes on while the 2h-hop budget lasts."""
+        d = got.get("distance")
+        if (self.label.has(4) if d is None else d < 2 * self.h):
+            self._schedule_wave(r + 1, got["value"])
 
     def _quiet_since(self, quiet_from: int, front: int) -> bool:
         """True iff no untyped non-silence was heard in (quiet_from, front]."""
@@ -362,20 +395,6 @@ class SizeDiscoveryNode:
             return None
         return {}
 
-    # -- observation dispatch --
-
-    def _dispatch(self, r: int, obs: Observation) -> None:
-        handler = getattr(self, f"_obs_{self.stage}", None)
-        if handler is not None:
-            handler(r, obs)
-
-    def _feed_listener(self, r: int, obs: Observation) -> Optional[dict]:
-        if obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, WavePulse)):
-            return self._listener.pulse(r)
-        if isinstance(obs, Heard):
-            self._listener.typed_message(r)
-        return None
-
     # -- stage: root collecting degree tags --
 
     def _obs_root_collect(self, r: int, obs: Observation) -> None:
@@ -410,52 +429,34 @@ class SizeDiscoveryNode:
             self._schedule_wave(r + 1, x)
             self.stage = "idle_until_phase"
 
-    # -- stage: decoding the degree wave --
+    # -- parameter learning: the degree wave, the hop relay, the depth wave --
 
-    def _obs_wave_delta(self, r: int, obs: Observation) -> None:
-        got = self._feed_listener(r, obs)
-        if got is None:
-            return
+    def _got_delta(self, r: int, got: dict) -> None:
         self.delta = got["value"]
         self.m = bitlen(self.delta)
         self.level = got["level"]
         self._event("delta", r, self.delta)
         self._event("level", r, self.level)
         self._event("wave", "delta", r, self.delta, self.level)
-        if self.label.has(4):
-            self._schedule_wave(r + 1, self.delta)
         if self.label.has(1):
             # the designated deepest node knows its level is the depth
             self._schedule(r + 1, HopValue(self.level))
             self.h = self.level
-            self._arm_listener(self._validate_h_wave)
-            self.stage = "wave_h"
         elif self.label.has(3):
             self.stage = "await_hop"
-            self._listener = None
-        else:
-            self._arm_listener(self._validate_h_wave)
-            self.stage = "wave_h"
+            return
+        self._await("wave_h", self._validate_h_wave, self._got_h)
 
     def _obs_await_hop(self, r: int, obs: Observation) -> None:
         if isinstance(obs, Heard) and isinstance(obs.message, HopValue):
             self.h = obs.message.value
-            if not self._hop_relayed:
-                self._hop_relayed = True
-                self._schedule(r + 1, HopValue(self.h))
-            self._arm_listener(self._validate_h_wave)
-            self.stage = "wave_h"
+            self._schedule(r + 1, HopValue(self.h))
+            self._await("wave_h", self._validate_h_wave, self._got_h)
 
-    def _obs_wave_h(self, r: int, obs: Observation) -> None:
-        got = self._feed_listener(r, obs)
-        if got is None:
-            return
+    def _got_h(self, r: int, got: dict) -> None:
         self._event("wave", "h", r, got["value"], self.level)
         self._finish_param_learning(r, got["value"])
-        if self.label.has(4):
-            self._schedule_wave(r + 1, self.h)
         self.stage = "idle_until_phase"
-        self._listener = None
 
     def _finish_param_learning(self, r: int, h: int) -> None:
         if self.h is not None and self.h != h:
@@ -475,10 +476,8 @@ class SizeDiscoveryNode:
         self.t2p = None
         self.tau = None
         assert self.t2 is not None and r == self.t2 + 1
-        if i == 1 and self.level == self.h and self.weight is None:
-            self.weight = 1
-            self._event("weight", r - 1, 1)
-        if self.level == self.h - i and not self.label.has(4) and self.weight is None:
+        # non-members weigh 1: the deepest level from phase 1, level h - i from phase i
+        if self.weight is None and not self.label.has(4) and self.level >= self.h - i:
             self.weight = 1
             self._event("weight", r - 1, 1)
         if self.label.has(6) and self.level == self.h - i + 1:
@@ -486,10 +485,8 @@ class SizeDiscoveryNode:
             self._set_phase_schedule(self.weight)
             self._schedule_wave(r, self.weight)
             self.stage = "idle_until_blocks"
-            self._listener = None
         else:
-            self._arm_listener(self._validate_x_wave)
-            self.stage = "wave_x"
+            self._await("wave_x", self._validate_x_wave, self._got_x)
 
     def _set_phase_schedule(self, x: int) -> None:
         self.x_i = x
@@ -498,16 +495,10 @@ class SizeDiscoveryNode:
         self._event("x", self.phase, x, self.t2p, self.tau)
         self._alarm(self.t2p + 1, "blocks_start")
 
-    def _obs_wave_x(self, r: int, obs: Observation) -> None:
-        got = self._feed_listener(r, obs)
-        if got is None:
-            return
+    def _got_x(self, r: int, got: dict) -> None:
         self._set_phase_schedule(got["value"])
         self._event("wave", "x", r, got["value"], got["distance"], self.phase)
-        if got["distance"] + 1 <= 2 * self.h:
-            self._schedule_wave(r + 1, got["value"])
         self.stage = "idle_until_blocks"
-        self._listener = None
 
     def _on_blocks_start(self, r: int) -> None:
         assert self.t2p is not None and r == self.t2p + 1
@@ -517,16 +508,11 @@ class SizeDiscoveryNode:
                 self._alarm(self.t2p + self.tau + 1, "child_block", 2)
             self.stage = "child_blocks"
         elif self.level == self.h - self.phase and self.label.has(4):
-            self._block_no = 1
             self._reset_member_windows()
             self._schedule(self.t2p + self.tau, _STOP_MARK)
             self.stage = "member_blocks"
         else:
-            self._arm_phase_end_listener()
-
-    def _arm_phase_end_listener(self) -> None:
-        self._arm_listener(self._validate_t_wave)
-        self.stage = "await_phase_end"
+            self._await("await_phase_end", self._validate_t_wave, self._got_t)
 
     # children ---------------------------------------------------------------
 
@@ -551,7 +537,7 @@ class SizeDiscoveryNode:
             return  # mid-block traffic belongs to members
         if obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, Stop)):
             self._event("child_complete", self.phase, r)
-            self._arm_phase_end_listener()
+            self._await("await_phase_end", self._validate_t_wave, self._got_t)
 
     # members ----------------------------------------------------------------
 
@@ -595,9 +581,8 @@ class SizeDiscoveryNode:
         """Block-final decision: adopt the weight and stop, or retry next block."""
         weight = account_block(self._window_clean, self._tags_heard, self._reports_heard)
         if weight is None:
-            self._block_no += 1
             self._reset_member_windows()
-            self._schedule(self.t2p + self._block_no * self.tau, _STOP_MARK)
+            self._schedule(r + self.tau, _STOP_MARK)
             return None
         self.weight = weight
         self._event("weight", r, self.weight)
@@ -607,31 +592,23 @@ class SizeDiscoveryNode:
             self._schedule_wave(r + 1, r)
             self._finish_phase(r, r)
         else:
-            self._arm_phase_end_listener()
+            self._await("await_phase_end", self._validate_t_wave, self._got_t)
         return _STOP
 
     # phase end ----------------------------------------------------------------
 
-    def _obs_await_phase_end(self, r: int, obs: Observation) -> None:
-        got = self._feed_listener(r, obs)
-        if got is None:
-            return
-        big_t = got["value"]
-        self._event("wave", "T", r, big_t, got["distance"])
-        if got["distance"] + 1 <= 2 * self.h:
-            self._schedule_wave(r + 1, big_t)
-        self._finish_phase(r, big_t)
+    def _got_t(self, r: int, got: dict) -> None:
+        self._event("wave", "T", r, got["value"], got["distance"])
+        self._finish_phase(r, got["value"])
 
     def _finish_phase(self, r: int, big_t: int) -> None:
         self.t2 = big_t + 2 * self.h * wave_span(big_t)
         self._event("t2", self.phase + 1, r, self.t2)
-        self._listener = None
         if self.phase < self.h:
             self._alarm(self.t2 + 1, "phase_start", self.phase + 1)
-            self.stage = "idle_until_phase"
         else:
             self._alarm(self.t2 + 1, "final_start")
-            self.stage = "idle_until_phase"
+        self.stage = "idle_until_phase"
 
     # final ----------------------------------------------------------------------
 
@@ -643,20 +620,13 @@ class SizeDiscoveryNode:
             self._schedule_wave(r, self.output)
             self.stage = "draining"
         else:
-            self._arm_listener(self._validate_n_wave)
-            self.stage = "wave_n"
+            self._await("wave_n", self._validate_n_wave, self._got_n)
 
-    def _obs_wave_n(self, r: int, obs: Observation) -> None:
-        got = self._feed_listener(r, obs)
-        if got is None:
-            return
+    def _got_n(self, r: int, got: dict) -> None:
         self.output = got["value"]
         self._event("output", r, self.output)
         self._event("wave", "n", r, got["value"], self.level)
-        if self.label.has(4):
-            self._schedule_wave(r + 1, self.output)
         self.stage = "draining"
-        self._listener = None
 
 
 # --- orchestration -------------------------------------------------------------
@@ -665,8 +635,10 @@ class SizeDiscoveryNode:
 class ProtocolResult:
     """Outcome of one end-to-end run plus everything tests need to audit it.
 
-    `trace` is the run's `SimulationTrace` when one was asked for, else
-    None; if the run failed it holds the rounds resolved before the failure.
+    `rounds_used` is the last round in which anyone transmitted or, if the
+    simulation raised, the round it failed in.  `trace` is the run's
+    `SimulationTrace` when one was asked for, else None; if the run failed
+    it holds the rounds resolved before the failure.
     """
 
     ok: bool
@@ -721,7 +693,7 @@ def run_protocol(g: Graph, record_trace: bool = False) -> ProtocolResult:
         rounds_used = run_scheduled(g, nodes, cap, trace)
     except SimulationError as exc:
         failure = str(exc)
-        rounds_used = cap
+        rounds_used = exc.round_no
 
     outputs = {v: nodes[v].output for v in range(g.n)}
     ok = failure is None and all(out == g.n for out in outputs.values())

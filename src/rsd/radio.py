@@ -59,7 +59,7 @@ class Stop:
 class Opaque:
     """Arbitrary payload, used by the lower-bound history computations."""
 
-    payload: str
+    payload: object
 
 
 Message = object  # union of the frozen dataclasses above
@@ -67,28 +67,21 @@ Message = object  # union of the frozen dataclasses above
 
 # --- observations ---------------------------------------------------------
 
-class _Singleton:
-    _name = "?"
+class _Mark:
+    """A named observation mark, compared by identity."""
+
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return self._name
 
 
-class _SilenceT(_Singleton):
-    _name = "Silence"
-
-
-class _CollisionT(_Singleton):
-    _name = "CollisionNoise"
-
-
-class _NotListeningT(_Singleton):
-    _name = "NotListening"
-
-
-SILENCE = _SilenceT()
-COLLISION = _CollisionT()
-NOT_LISTENING = _NotListeningT()
+SILENCE = _Mark("Silence")
+COLLISION = _Mark("CollisionNoise")
+NOT_LISTENING = _Mark("NotListening")
 
 
 @dataclass(frozen=True)

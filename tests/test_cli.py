@@ -240,6 +240,21 @@ def test_run_exit_one_on_cap_exhaustion(tmp_path, monkeypatch):
     assert run_cli("run", str(g)) == 1
 
 
+def test_run_report_counts_rounds_up_to_a_failure(tmp_path, monkeypatch):
+    real = SizeDiscoveryNode.decide
+
+    def decide(self, r):
+        if r == 5:
+            raise RuntimeError("injected fault")
+        return real(self, r)
+
+    monkeypatch.setattr(SizeDiscoveryNode, "decide", decide)
+    g, report = tmp_path / "k2.g", tmp_path / "report.json"
+    g.write_text("2 1\n0 1\n")
+    assert run_cli("run", str(g), "--report", str(report)) == 1
+    assert json.loads(read(report))["rounds_used"] == 5
+
+
 def test_run_batch_of_seeded_trees(tmp_path):
     # twenty seeded trees through the full command surface, all exit 0
     for seed in range(20):

@@ -295,6 +295,21 @@ def test_cap_exhausted_trace_matches_reference(monkeypatch):
     assert len(text.splitlines()) == 36 * g.n
 
 
+def test_failed_run_reports_the_failing_round(monkeypatch):
+    real = SizeDiscoveryNode.decide
+
+    def decide(self, r):
+        if r == 5:
+            raise RuntimeError("injected fault")
+        return real(self, r)
+
+    monkeypatch.setattr(SizeDiscoveryNode, "decide", decide)
+    res = run_protocol(star(1), record_trace=True)
+    assert not res.ok and "round 5" in res.failure
+    assert res.rounds_used == 5 < res.round_cap
+    assert res.trace.last == 4
+
+
 def test_round_cap_env_override(monkeypatch):
     monkeypatch.setenv("RSD_ROUND_CAP_MULTIPLIER", "1")
     res = run_protocol(star(1))
@@ -413,6 +428,25 @@ def _drive_listener(listener, schedule, start, end):
         elif kind == "typed":
             listener.typed_message(r)
     return hits
+
+
+@pytest.mark.parametrize(
+    "g",
+    [star(1), path(7), random_tree(40, 4, 3), random_connected_graph(30, 5, 8)],
+    ids=["K2", "path7", "tree40", "graph30"],
+)
+def test_depth_report_relayed_once_per_hop(g):
+    # the depth report climbs h hops to the root: one HopValue per hop, each
+    # from a different node
+    res = run_protocol(g, record_trace=True)
+    assert res.ok
+    senders = [
+        v
+        for actions, _obs in res.trace.rounds.values()
+        for v, msg in actions.items()
+        if isinstance(msg, radio.HopValue)
+    ]
+    assert len(senders) == len(set(senders)) == res.decomposition.h
 
 
 def test_listener_accepts_clean_wave():
