@@ -10,7 +10,7 @@ import sys
 from typing import Optional
 
 from . import generators
-from .graphs import Graph, GraphFormatError, decompose, parse_graph
+from .graphs import Graph, decompose, parse_graph
 from .history_lab import check_lemmas, crossover, pattern_bound
 from .labels import assign_labels, format_labels_file, length_bound
 from .protocol import run_protocol
@@ -192,10 +192,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

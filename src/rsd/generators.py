@@ -5,7 +5,7 @@ import random
 from typing import List, Tuple
 
 from .graphs import Graph
-from .history_lab import build_family
+from .history_lab import family_tree
 
 
 def star(delta: int) -> Graph:
@@ -42,7 +42,9 @@ def random_tree(n: int, delta_cap: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_connected_graph(n: int, delta_cap: int, seed: int, extra_edges: int | None = None) -> Graph:
+def random_connected_graph(
+    n: int, delta_cap: int, seed: int, extra_edges: int | None = None
+) -> Graph:
     """Random spanning tree plus extra random edges under the degree cap."""
     if extra_edges is None:
         extra_edges = n // 3
@@ -70,8 +72,4 @@ def random_connected_graph(n: int, delta_cap: int, seed: int, extra_edges: int |
 
 def family_member(delta: int, index: int) -> Graph:
     """The double star with `index` extra hub leaves, as a plain graph."""
-    for tree in build_family(delta):
-        if tree.i == index:
-            return tree.graph
-    lo, hi = delta // 2, delta - 1
-    raise ValueError(f"index {index} outside the family range {lo}..{hi} for delta {delta}")
+    return family_tree(delta, index).graph

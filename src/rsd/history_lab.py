@@ -44,28 +44,36 @@ class FamilyTree:
         return self.graph.n
 
 
-def build_family(delta: int) -> List[FamilyTree]:
-    """All members for one maximum degree; i ranges over floor(Delta/2)..Delta-1."""
+def _family_range(delta: int) -> range:
+    """The member indices floor(Delta/2)..Delta-1 for one maximum degree."""
     if delta < 2:
         raise ValueError(f"the family needs delta >= 2, got {delta}")
-    trees = []
-    for i in range(delta // 2, delta):
-        n = delta + i + 1
-        edges = [(0, v) for v in range(1, delta + 1)]
-        edges += [(1, v) for v in range(delta + 1, delta + 1 + i)]
-        g = Graph.from_edges(n, edges)
-        trees.append(
-            FamilyTree(
-                delta=delta,
-                i=i,
-                graph=g,
-                r=0,
-                a=1,
-                leaves_r=tuple(range(2, delta + 1)),
-                leaves_a=tuple(range(delta + 1, delta + 1 + i)),
-            )
+    return range(delta // 2, delta)
+
+
+def family_tree(delta: int, i: int) -> FamilyTree:
+    """The one member with i extra hub leaves."""
+    span = _family_range(delta)
+    if i not in span:
+        raise ValueError(
+            f"index {i} outside the family range {span.start}..{span.stop - 1} for delta {delta}"
         )
-    return trees
+    edges = [(0, v) for v in range(1, delta + 1)]
+    edges += [(1, v) for v in range(delta + 1, delta + 1 + i)]
+    return FamilyTree(
+        delta=delta,
+        i=i,
+        graph=Graph.from_edges(delta + i + 1, edges),
+        r=0,
+        a=1,
+        leaves_r=tuple(range(2, delta + 1)),
+        leaves_a=tuple(range(delta + 1, delta + 1 + i)),
+    )
+
+
+def build_family(delta: int) -> List[FamilyTree]:
+    """All members for one maximum degree; i ranges over floor(Delta/2)..Delta-1."""
+    return [family_tree(delta, i) for i in _family_range(delta)]
 
 
 class HistoryTable:
@@ -219,7 +227,9 @@ def crossover(beta: int, delta: int) -> dict:
 # --- lemma checks -------------------------------------------------------------
 
 
-def _random_labeling(nodes: Sequence[int], universe: Sequence[str], rng: random.Random) -> Dict[int, str]:
+def _random_labeling(
+    nodes: Sequence[int], universe: Sequence[str], rng: random.Random
+) -> Dict[int, str]:
     return {v: rng.choice(list(universe)) for v in nodes}
 
 
@@ -272,8 +282,13 @@ def check_lemmas(
     independent random labeling and compares leaf histories against label
     equality at every time step; lemma 2 runs the whole family under a
     shared pattern and requires all center histories to coincide (their
-    count must be exactly 1 per pattern class).
+    count must be exactly 1 per pattern class).  A check of no trials or of
+    negative rounds checks nothing, so both raise ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"lemma checks need trials >= 1, got {trials}")
+    if rounds < 0:
+        raise ValueError(f"lemma checks need rounds >= 0, got {rounds}")
     family = build_family(delta)
     universe = label_universe(beta)
     rng = random.Random(seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .graphs import Graph, LevelDecomposition
-from .upper_sets import UpperSetPlan, bitlen, collision_tag_map, finalize_weight_tags
+from .upper_sets import UpperSetPlan, bitlen, collision_tag_map, digits, finalize_weight_tags
 
 NO_TAG_ID = 0
 
@@ -99,7 +99,6 @@ def assign_labels(
     if d.h < 1:
         raise ValueError("labeling requires a graph with at least two nodes")
     m = bitlen(d.delta)
-    delta_bits = _bits_of(d.delta)
     l3_map, blocks_per_level = finalize_weight_tags(g, d, plan, weights)
 
     marker_sets: Dict[int, set] = {v: set() for v in range(g.n)}
@@ -121,9 +120,8 @@ def assign_labels(
         top = max(weights[u] for u in lvl)
         marker_sets[min(u for u in lvl if weights[u] == top)].add(6)
 
-    l1: Dict[int, Tag] = {}
-    for i, w in enumerate(learners, start=1):
-        l1[w] = Tag(i, int(delta_bits[i - 1]))
+    delta_digits = digits(d.delta, range(1, m + 1))
+    l1 = {w: Tag(i, delta_digits[i]) for i, w in enumerate(learners, start=1)}
     l1[d.root] = Tag(m, 0)
 
     l2 = {u: Tag(i, b) for u, (i, b) in collision_tag_map(plan).items()}

@@ -11,7 +11,7 @@ initial member).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, LevelDecomposition
 
@@ -30,6 +30,18 @@ def bits_value(bits: Dict[int, int]) -> int:
     for i in sorted(bits):
         value = 2 * value + bits[i]
     return value
+
+
+def digits(count: int, positions: Iterable[int]) -> Dict[int, int]:
+    """The binary digits of count, by position: the inverse of bits_value.
+
+    The most significant digit goes to the smallest position; there must be
+    exactly bitlen(count) positions."""
+    ordered = sorted(positions)
+    spelled = format(count, "b")
+    if len(ordered) != len(spelled):
+        raise ValueError(f"{count} has {len(spelled)} binary digits, not {len(ordered)}")
+    return {p: int(c) for p, c in zip(ordered, spelled)}
 
 
 def report_slot(m: int, weight: int, tag_id: int) -> int:
@@ -83,11 +95,6 @@ class UpperSetPlan:
         return tuple(sorted(self.child_id[u] for u in self.tag_order[member]))
 
 
-def _upper_neighbors(g: Graph, d: LevelDecomposition, v: int) -> List[int]:
-    lv = d.level[v]
-    return [w for w in g.adj[v] if d.level[w] == lv + 1]
-
-
 def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
     """Construct US(l) for every l in 0..h-1 with deterministic tie-breaks.
 
@@ -116,82 +123,56 @@ def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
     foreign_all: set = set()
 
     for l in range(d.h):
-        target = set(d.levels[l + 1])
-        uncovered = set(target)
-        members: List[int] = []
-        inherited_of: Dict[int, int] = {}
-        anchors: Dict[int, List[int]] = {}
-
-        def eligible() -> List[int]:
-            return [
-                v
-                for v in d.levels[l]
-                if v not in members and any(w in uncovered for w in g.adj[v])
-            ]
-
-        def admit(v: int, inherited: int) -> None:
-            private = sorted(w for w in _upper_neighbors(g, d, v) if w in uncovered)
+        uncovered = set(d.levels[l + 1])
+        inherited_of: Dict[int, int] = {}  # member -> its inherited id, in admission order
+        anchors: set = set()
+        while uncovered:
+            cands = {v for v in d.levels[l] if not uncovered.isdisjoint(g.adj[v])}
+            assert cands, f"level {l}: uncovered nodes remain but no eligible member"
+            anchor = next(
+                (
+                    u
+                    for a in reversed(inherited_of)
+                    for u in tag_order[a]
+                    if not cands.isdisjoint(g.adj[u])
+                ),
+                None,
+            )
+            if anchor is None:
+                v, inherited = min(cands), 1
+            else:
+                anchors.add(anchor)
+                v, inherited = min(cands.intersection(g.adj[anchor])), child_id[anchor]
+            private = sorted(w for w in g.adj[v] if w in uncovered)
             assert private, "admitted a member with no private children"
-            members.append(v)
+            uncovered.difference_update(private)
             inherited_of[v] = inherited
             nprime[v] = tuple(private)
-            for u in private:
-                owner[u] = v
+            owner.update((u, v) for u in private)
             k = bitlen(len(private))
-            used: List[int] = []
-            order: List[int] = []
-            for idx, u in enumerate(private[:k]):
-                if idx == 0:
-                    p = inherited
-                else:
-                    p = min(i for i in range(1, m_ids + 1) if i not in used)
-                child_id[u] = p
-                used.append(p)
-                order.append(u)
-            tag_order[v] = tuple(order)
-            uncovered.difference_update(_upper_neighbors(g, d, v))
+            ids = [inherited] + [i for i in range(1, m_ids + 1) if i != inherited][: k - 1]
+            child_id.update(zip(private, ids))
+            tag_order[v] = tuple(private[:k])
 
-        while uncovered:
-            cands = eligible()
-            assert cands, f"level {l}: uncovered nodes remain but no eligible member"
-            if not members:
-                admit(min(cands), 1)
-                continue
-            cand_set = set(cands)
-            chosen = None
-            for a in reversed(members):
-                for u in tag_order[a]:
-                    sharers = [v for v in g.adj[u] if d.level[v] == l and v in cand_set]
-                    if sharers:
-                        chosen = (min(sharers), child_id[u])
-                        anchor = u
-                        break
-                if chosen:
-                    break
-            if chosen:
-                anchors.setdefault(anchor, []).append(chosen[1])
-                admit(*chosen)
-            else:
-                admit(min(cands), 1)
-
-        us[l] = tuple(members)
-        member_set = set(members)
+        us[l] = tuple(inherited_of)
         foreign = {
             u
             for u in d.levels[l + 1]
-            if sum(1 for w in g.adj[u] if w in member_set) >= 2
+            if sum(1 for w in g.adj[u] if w in inherited_of) >= 2
         }
         foreign_all.update(foreign)
-        for v in members:
-            _redeal_ids(
-                v,
-                nprime[v],
-                inherited_of[v],
-                {u: child_id[u] for u in tag_order[v] if u in anchors},
-                foreign,
-                child_id,
-                tag_order,
-            )
+        for v, inherited in inherited_of.items():
+            bit_of = digits(len(nprime[v]), [child_id[u] for u in tag_order[v]])
+            for u in tag_order[v]:  # anchors keep their ids; the rest are dealt again
+                if u in anchors:
+                    del bit_of[child_id[u]]
+                else:
+                    del child_id[u]
+            pool = [u for u in nprime[v] if u not in anchors]
+            child_id.update(_audibility_assignment(bit_of, pool, foreign))
+            tagged = [u for u in nprime[v] if u in child_id]
+            first = next(u for u in tagged if child_id[u] == inherited)
+            tag_order[v] = (first,) + tuple(u for u in tagged if u != first)
     return UpperSetPlan(
         us=us,
         nprime=nprime,
@@ -202,70 +183,27 @@ def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
     )
 
 
-def _redeal_ids(
-    v: int,
-    private: Tuple[int, ...],
-    inherited: int,
-    locked: Dict[int, int],
-    foreign: set,
-    child_id: Dict[int, int],
-    tag_order: Dict[int, Tuple[int, ...]],
-) -> None:
-    """Re-distribute v's ids over its children per the audibility policy."""
-    ids = sorted(child_id[u] for u in tag_order[v])
-    size_bits = format(len(private), "b")
-    bit_of = {i: int(size_bits[rank]) for rank, i in enumerate(ids)}
-    for u in tag_order[v]:
-        if u not in locked:
-            del child_id[u]
-    free_ids = [i for i in ids if i not in locked.values()]
-    pool = [u for u in private if u not in locked]
-    quiet = [u for u in pool if u not in foreign]
-    loud = [u for u in pool if u in foreign]
-    assignment = _audibility_assignment(free_ids, bit_of, quiet, loud)
-    for u in assignment:
-        child_id[u] = assignment[u]
-    holder = {child_id[u]: u for u in private if u in child_id}
-    order = [holder[inherited]] + sorted(
-        u for u in private if u in child_id and u != holder[inherited]
-    )
-    tag_order[v] = tuple(order)
-
-
 def _audibility_assignment(
-    slots: List[int],
-    bit_of: Dict[int, int],
-    quiet: List[int],
-    loud: List[int],
+    bit_of: Dict[int, int], children: Sequence[int], foreign: AbstractSet[int]
 ) -> Dict[int, int]:
-    """Fill slots with quiet children first; unavoidable loud ones take
-    1-digit slots before 0-digit slots.  Returns child -> slot."""
-    shortfall = max(0, len(slots) - len(quiet))
-    use_loud = loud[:shortfall]
-    loud_first = sorted((i for i in slots if bit_of[i] == 1)) + sorted(
-        i for i in slots if bit_of[i] == 0
-    )
-    out: Dict[int, int] = {}
-    for u, i in zip(use_loud, loud_first):
-        out[u] = i
-    remaining = sorted(i for i in slots if i not in out.values())
-    for u, i in zip(quiet, remaining):
-        out[u] = i
+    """Deal the slots of `bit_of` (slot -> digit) to children: quiet ones
+    (not in `foreign`) first; unavoidable loud ones take 1-digit slots
+    before 0-digit slots.  Returns child -> slot."""
+    quiet = [u for u in children if u not in foreign]
+    loud = [u for u in children if u in foreign]
+    ones_first = sorted(bit_of, key=lambda i: (-bit_of[i], i))
+    out = dict(zip(loud[: max(0, len(bit_of) - len(quiet))], ones_first))
+    taken = set(out.values())
+    out.update(zip(quiet, sorted(i for i in bit_of if i not in taken)))
     return out
 
 
 def compute_weights(plan: UpperSetPlan, d: LevelDecomposition) -> Dict[int, int]:
     """Bottom-up weights: 1 at level h and for non-members, else 1 + sum over N'."""
     weight: Dict[int, int] = {}
-    for v in d.levels[d.h]:
-        weight[v] = 1
-    for l in range(d.h - 1, -1, -1):
-        member_set = set(plan.us[l])
+    for l in range(d.h, -1, -1):
         for v in d.levels[l]:
-            if v in member_set:
-                weight[v] = 1 + sum(weight[u] for u in plan.nprime[v])
-            else:
-                weight[v] = 1
+            weight[v] = 1 + sum(weight[u] for u in plan.nprime.get(v, ()))
     return weight
 
 
@@ -273,11 +211,9 @@ def collision_tag_map(plan: UpperSetPlan) -> Dict[int, Tuple[int, int]]:
     """Child -> (id, bit): the bit is its rank's digit in binary(|N'(owner)|)."""
     tags: Dict[int, Tuple[int, int]] = {}
     for v, order in plan.tag_order.items():
-        ids = plan.id_set(v)
-        size_bits = format(len(plan.nprime[v]), "b")
+        bit_of = digits(len(plan.nprime[v]), plan.id_set(v))
         for u in order:
-            rank = ids.index(plan.child_id[u]) + 1
-            tags[u] = (plan.child_id[u], int(size_bits[rank - 1]))
+            tags[u] = (plan.child_id[u], bit_of[plan.child_id[u]])
     return tags
 
 
@@ -289,18 +225,13 @@ def weight_tag_map(plan: UpperSetPlan, weights: Dict[int, int]) -> Dict[int, Tup
     steered onto 1 digits.
     """
     tags: Dict[int, Tuple[int, int]] = {}
-    for v in plan.nprime:
+    for private in plan.nprime.values():
         groups: Dict[int, List[int]] = {}
-        for u in plan.nprime[v]:
+        for u in private:
             groups.setdefault(weights[u], []).append(u)
-        for x, full in groups.items():
-            full.sort()
-            count_bits = format(len(full), "b")
-            positions = list(range(1, bitlen(len(full)) + 1))
-            bit_of = {j: int(count_bits[j - 1]) for j in positions}
-            quiet = [u for u in full if u not in plan.foreign]
-            loud = [u for u in full if u in plan.foreign]
-            for u, j in _audibility_assignment(positions, bit_of, quiet, loud).items():
+        for group in groups.values():
+            bit_of = digits(len(group), range(1, bitlen(len(group)) + 1))
+            for u, j in _audibility_assignment(bit_of, group, plan.foreign).items():
                 tags[u] = (j, bit_of[j])
     return tags
 
@@ -328,16 +259,15 @@ def _replay_level(
     never complete because a foreign stop silenced one of its tag carriers.
     """
     m = bitlen(d.delta)
-    members = plan.us[l]
     active = {u for u in d.levels[l + 1] if u in l2 or u in l3}
     blocks: Dict[int, int] = {}
-    incomplete = list(members)
+    incomplete = list(plan.us[l])
     block = 0
     while incomplete:
         block += 1
         finishing = []
         for v in incomplete:
-            audible = [u for u in _upper_neighbors(g, d, v) if u in active]
+            audible = [u for u in g.adj[v] if u in active]
             slots: List[int] = []
             tag_bits: Dict[int, int] = {}
             reports: Dict[int, Dict[int, int]] = {}
@@ -369,15 +299,10 @@ def _replay_level(
             raise OraclePlanError(
                 f"level {l}: no member can complete in block {block} and none is robbed"
             )
-        if block > len(members):
-            raise OraclePlanError(f"level {l}: completion replay did not converge")
         for v in finishing:
             blocks[v] = block
+            active.difference_update(g.adj[v])
         incomplete = [v for v in incomplete if v not in blocks]
-        silenced = set()
-        for v in finishing:
-            silenced.update(_upper_neighbors(g, d, v))
-        active.difference_update(silenced)
     return ("ok", blocks)
 
 
@@ -397,8 +322,8 @@ def _promote_to_one_bit(
     """
     owner = plan.owner[u]
     classmates = [c for c in plan.nprime[owner] if weights[c] == weights[u]]
-    count_bits = format(len(classmates), "b")
-    one_positions = [j + 1 for j, b in enumerate(count_bits) if b == "1"]
+    count = len(classmates)
+    one_positions = [j for j, b in digits(count, range(1, bitlen(count) + 1)).items() if b]
     holder = {l3[c][0]: c for c in classmates if c in l3}
     for pos in one_positions:
         victim = holder[pos]

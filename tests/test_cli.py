@@ -207,6 +207,18 @@ def test_lowerbound_lemmas(capsys):
     assert report["delta"] == 4 and report["trials"] == 5 and report["rounds"] == 30
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("--rounds", "-5", "--trials", "3"), ("--trials", "-2"), ("--trials", "0")],
+    ids=["negative-rounds", "negative-trials", "zero-trials"],
+)
+def test_lowerbound_lemmas_refuses_an_empty_check(args, capsys):
+    assert run_cli("lowerbound", "lemmas", "--delta", "4", *args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
 def test_lowerbound_lemmas_passes_beta_zero(monkeypatch):
     seen = {}
 

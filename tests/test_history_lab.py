@@ -1,5 +1,6 @@
 import pytest
 
+from rsd.generators import family_member
 from rsd.history_lab import (
     HistoryTable,
     build_family,
@@ -39,6 +40,26 @@ def test_family_max_degree_exact():
 def test_family_rejects_small_delta():
     with pytest.raises(ValueError):
         build_family(1)
+
+
+def test_family_member_is_the_family_tree():
+    for delta in range(2, 13):
+        family = build_family(delta)
+        assert [t.i for t in family] == list(range(delta // 2, delta))
+        for tree in family:
+            assert family_member(delta, tree.i).edges == tree.graph.edges
+
+
+def test_family_member_builds_one_member_only():
+    g = family_member(4096, 4095)
+    assert g.n == 8192 and g.max_degree() == 4096
+
+
+def test_family_member_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="index 9 outside the family range 2..3 for delta 4"):
+        family_member(4, 9)
+    with pytest.raises(ValueError, match="the family needs delta >= 2, got 1"):
+        family_member(1, 0)
 
 
 def test_all_listen_histories_are_label_then_silences():

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from rsd.generators import random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
 from rsd.upper_sets import (
     bitlen,
+    bits_value,
     collision_tag_map,
     compute_upper_sets,
     compute_weights,
+    digits,
     finalize_weight_tags,
 )
 
@@ -22,6 +25,27 @@ def test_bitlen():
     assert [bitlen(x) for x in (1, 2, 3, 4, 7, 8)] == [1, 2, 2, 3, 3, 4]
     with pytest.raises(ValueError):
         bitlen(0)
+
+
+@given(st.integers(min_value=1, max_value=2**70), st.data())
+def test_digits_inverts_bits_value(count, data):
+    positions = data.draw(
+        st.lists(
+            st.integers(min_value=-5, max_value=200),
+            min_size=bitlen(count),
+            max_size=bitlen(count),
+            unique=True,
+        )
+    )
+    spelled = digits(count, positions)
+    assert sorted(spelled) == sorted(positions)
+    assert bits_value(spelled) == count
+
+
+def test_digits_needs_one_position_per_digit():
+    assert digits(6, [9, 2, 4]) == {2: 1, 4: 1, 9: 0}
+    with pytest.raises(ValueError):
+        digits(6, [1, 2])
 
 
 def test_star_single_member():
