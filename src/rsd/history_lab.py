@@ -136,7 +136,7 @@ def compute_histories(
     table = table if table is not None else HistoryTable()
     g = tree.graph
     current = {v: table.leaf(labeling[v]) for v in range(g.n)}
-    out = [dict(current)]
+    out = [current]
     for _t in range(rounds):
         actions = {
             v: Opaque(current[v]) if automaton(table.digest(current[v])) else None
@@ -153,7 +153,7 @@ def compute_histories(
             else:
                 nxt[v] = table.extend(current[v], LAMBDA)
         current = nxt
-        out.append(dict(current))
+        out.append(current)
     return out
 
 
@@ -230,7 +230,7 @@ def crossover(beta: int, delta: int) -> dict:
 def _random_labeling(
     nodes: Sequence[int], universe: Sequence[str], rng: random.Random
 ) -> Dict[int, str]:
-    return {v: rng.choice(list(universe)) for v in nodes}
+    return {v: rng.choice(universe) for v in nodes}
 
 
 def matched_labelings(
@@ -283,8 +283,11 @@ def check_lemmas(
     equality at every time step; lemma 2 runs the whole family under a
     shared pattern and requires all center histories to coincide (their
     count must be exactly 1 per pattern class).  A check of no trials or of
-    negative rounds checks nothing, so both raise ValueError.
+    negative rounds checks nothing, and below delta 4 lemma 2 has fewer than
+    two members (i >= 2) to compare; all three raise ValueError.
     """
+    if delta < 4:
+        raise ValueError(f"lemma checks need delta >= 4, got {delta}")
     if trials < 1:
         raise ValueError(f"lemma checks need trials >= 1, got {trials}")
     if rounds < 0:
@@ -320,9 +323,7 @@ def check_lemmas(
                                 )
                                 break
 
-        matched = matched_labelings(family, beta, rng)
-        if len(matched) < 2:
-            continue  # nothing to compare at this delta
+        matched = matched_labelings(family, beta, rng)  # two or more members from delta 4
         patterns = {pattern_of(tree, labeling, beta) for tree, labeling in matched}
         if len(patterns) != 1:
             violations.append({"lemma": "pattern-construction", "trial": trial})

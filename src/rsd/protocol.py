@@ -17,13 +17,18 @@ and what it hears, in three procedures:
 
 Flooding (the wave subroutine) encodes a value bit-serially: 1 -> 10,
 0 -> 00, terminated by 11, spreading level by level with each level
-occupying 2k+2 rounds.  A node awaits each wave the same way (`_await`)
-and relays every accepted wave by one rule (`_relay`), which suppresses
-relaying where it cannot serve a deeper node: root-initiated waves are
-relayed only by upper-set members (whose neighborhoods cover the next
-level), and mid-phase waves only while the 2h-block propagation budget
-allows.  Without that suppression, the final level's echo would collide
-with the hop relay that follows.
+occupying 2k+2 rounds.  A node awaits each wave the same way (`_await`),
+dates it by one rule (`_hop`: the hop d >= 1 on which a wave sent from a
+known round ends, behind a quiet window), and relays every accepted wave by
+one rule (`_relay`), which suppresses relaying where it cannot serve a
+deeper node: root-initiated waves are relayed only by upper-set members
+(whose neighborhoods cover the next level), and mid-phase waves only while
+the 2h-block propagation budget allows.  Without that suppression, the
+final level's echo would collide with the hop relay that follows.
+
+Timed steps (phase, block and final starts, and a member's stop decision
+at each block's last round) are alarms: each fires before the node decides
+its round, once everything it heard in earlier rounds has been delivered.
 """
 from __future__ import annotations
 
@@ -191,9 +196,6 @@ class WaveListener:
 
 # --- the node automaton -------------------------------------------------------
 
-_STOP_MARK = object()  # outbox sentinel: evaluate stop decision at a block-final round
-
-
 class SizeDiscoveryNode:
     """Deterministic per-node machine; consumes only its label and observations."""
 
@@ -243,12 +245,7 @@ class SizeDiscoveryNode:
 
     def decide(self, r: int) -> Optional[Message]:
         self._fire_alarms(r)
-        entry = self._outbox.pop(r, None)
-        if entry is None:
-            return None
-        if entry is _STOP_MARK:
-            return self._evaluate_stop(r)
-        return entry
+        return self._outbox.pop(r, None)
 
     def observe(self, r: int, obs: Observation) -> None:
         self._fire_alarms(r)
@@ -326,51 +323,48 @@ class SizeDiscoveryNode:
         if (self.label.has(4) if d is None else d < 2 * self.h):
             self._schedule_wave(r + 1, got["value"])
 
-    def _quiet_since(self, quiet_from: int, front: int) -> bool:
-        """True iff no untyped non-silence was heard in (quiet_from, front]."""
-        heard = self._listener.cands
-        i = bisect_right(heard, quiet_from)
-        return i == len(heard) or heard[i] > front
-
     # -- wave validators --
     #
-    # Each checks the exact round equation for its wave and then the quiet
-    # window: if the decoded value were true, every echo of earlier traffic
-    # audible at this node would have ended by a computable round, so any
-    # untyped non-silence between that round and the claimed wave front
-    # exposes a forged alignment (echo blocks of an earlier wave can mimic a
-    # shorter wave's pattern at exactly the right rounds).
+    # Every validator checks the exact round at which its wave ends a hop and
+    # then the quiet window: if the decoded value were true, every echo of
+    # earlier traffic audible at this node would have ended by a computable
+    # round, so any untyped non-silence between that round and the claimed
+    # wave front exposes a forged alignment (echo blocks of an earlier wave
+    # can mimic a shorter wave's pattern at exactly the right rounds).
+
+    def _hop(self, start: int, value: int, r: int, quiet_from: int) -> Optional[int]:
+        """The hop d >= 1 of a wave of `value` sent from round `start` that
+        ends in round r, where hop d ends at start + d * wave_span(value).
+        None if r ends no hop, or if an untyped non-silence was heard after
+        `quiet_from` and at or before the wave front r - wave_span(value)."""
+        span = wave_span(value)
+        d, rem = divmod(r - start, span)
+        if rem or d < 1:
+            return None
+        heard = self._listener.cands
+        i = bisect_right(heard, quiet_from)
+        if i < len(heard) and heard[i] <= r - span:
+            return None
+        return d
 
     def _validate_delta_wave(self, value: int, r: int) -> Optional[dict]:
         mb = bitlen(value)
-        span = wave_span(value)
-        if (r - mb) % span != 0:
-            return None
-        j = (r - mb) // span
-        if j < 1 or not self._quiet_since(mb, r - span):
-            return None
-        return {"level": j}
+        level = self._hop(mb, value, r, mb)
+        return None if level is None else {"level": level}
 
     def _validate_h_wave(self, value: int, r: int) -> Optional[dict]:
         assert self.m is not None and self.level is not None
-        if self.level > value:
-            return None
-        span = wave_span(value)
-        if r != depth_report_round(self.delta, value) + self.level * span:
-            return None
-        if self.h is not None and value != self.h:
+        if self.level > value or (self.h is not None and value != self.h):
             return None
         echo_end = self.m + min(self.level + 2, value) * wave_span(self.delta)
-        if not self._quiet_since(echo_end, r - span):
+        if self._hop(depth_report_round(self.delta, value), value, r, echo_end) != self.level:
             return None
         return {}
 
     def _mid_phase_wave(self, start: int, value: int, r: int) -> Optional[dict]:
-        """A mid-phase wave sent from round `start` on ends its d-th hop at
-        start + d * wave_span(value), for 1 <= d <= 2h."""
-        span = wave_span(value)
-        d, rem = divmod(r - start, span)
-        if rem or not (1 <= d <= 2 * self.h) or not self._quiet_since(start, r - span):
+        """A mid-phase wave sent from round `start` travels at most 2h hops."""
+        d = self._hop(start, value, r, start)
+        if d is None or d > 2 * self.h:
             return None
         return {"distance": d}
 
@@ -386,12 +380,7 @@ class SizeDiscoveryNode:
 
     def _validate_n_wave(self, value: int, r: int) -> Optional[dict]:
         assert self.t2 is not None and self.level is not None
-        if value < 2:
-            return None
-        span = wave_span(value)
-        if r != self.t2 + self.level * span:
-            return None
-        if not self._quiet_since(self.t2, r - span):
+        if value < 2 or self._hop(self.t2, value, r, self.t2) != self.level:
             return None
         return {}
 
@@ -503,33 +492,32 @@ class SizeDiscoveryNode:
     def _on_blocks_start(self, r: int) -> None:
         assert self.t2p is not None and r == self.t2p + 1
         if self.level == self.h - self.phase + 1:
-            self._schedule_child_slots(1)
-            if self.label.l2.active() or self.label.l3.active():
-                self._alarm(self.t2p + self.tau + 1, "child_block", 2)
             self.stage = "child_blocks"
+            self._on_child_block(r, 1)
         elif self.level == self.h - self.phase and self.label.has(4):
             self._reset_member_windows()
-            self._schedule(self.t2p + self.tau, _STOP_MARK)
+            self._alarm(self.t2p + self.tau, "block_end")
             self.stage = "member_blocks"
         else:
             self._await("await_phase_end", self._validate_t_wave, self._got_t)
 
     # children ---------------------------------------------------------------
 
-    def _schedule_child_slots(self, j: int) -> None:
-        base = self.t2p + (j - 1) * self.tau
-        if self.label.l2.active():
-            self._schedule(base + self.label.l2.id, CollisionTagMsg(self.label.l2))
-        if self.label.l3.active():
-            assert self.weight is not None, "weight-tagged child without a weight"
-            slot = base + report_slot(self.m, self.weight, self.label.l3.id)
-            self._schedule(slot, WeightReport(self.label.l3, self.weight))
-
     def _on_child_block(self, r: int, j: int) -> None:
+        """Block j: schedule this child's tag and report slots; a tagged child
+        repeats them every block until its member stops."""
         if self.stage != "child_blocks":
             return  # completed meanwhile; stale alarm
-        self._schedule_child_slots(j)
-        self._alarm(self.t2p + j * self.tau + 1, "child_block", j + 1)
+        base = self.t2p + (j - 1) * self.tau
+        l2, l3 = self.label.l2, self.label.l3
+        if l2.active():
+            self._schedule(base + l2.id, CollisionTagMsg(l2))
+        if l3.active():
+            assert self.weight is not None, "weight-tagged child without a weight"
+            slot = base + report_slot(self.m, self.weight, l3.id)
+            self._schedule(slot, WeightReport(l3, self.weight))
+        if l2.active() or l3.active():
+            self._alarm(base + self.tau + 1, "child_block", j + 1)
 
     def _obs_child_blocks(self, r: int, obs: Observation) -> None:
         off = r - self.t2p
@@ -577,23 +565,24 @@ class SizeDiscoveryNode:
                     )
                 self._reports_heard.setdefault(msg.weight, {})[msg.tag.id] = msg.tag.bit
 
-    def _evaluate_stop(self, r: int) -> Optional[Message]:
-        """Block-final decision: adopt the weight and stop, or retry next block."""
+    def _on_block_end(self, r: int) -> None:
+        """Block-final decision, due before round r is decided: adopt the
+        weight and stop in round r, or retry next block."""
         weight = account_block(self._window_clean, self._tags_heard, self._reports_heard)
         if weight is None:
             self._reset_member_windows()
-            self._schedule(r + self.tau, _STOP_MARK)
-            return None
+            self._alarm(r + self.tau, "block_end")
+            return
         self.weight = weight
         self._event("weight", r, self.weight)
         self._event("member_stop", self.phase, r)
+        self._schedule(r, _STOP)
         if self.label.has(5):
             self._event("T", self.phase, r, r)
             self._schedule_wave(r + 1, r)
             self._finish_phase(r, r)
         else:
             self._await("await_phase_end", self._validate_t_wave, self._got_t)
-        return _STOP
 
     # phase end ----------------------------------------------------------------
 

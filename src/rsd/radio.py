@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, NoReturn, Optional, Protocol, Tuple
 
 from .graphs import Graph
 from .labels import Tag
@@ -121,7 +121,10 @@ class Automaton(Protocol):
     decide(r) returns the action for round r; its knowledge is everything
     observed in rounds < r.  observe(r, obs) delivers round r's observation.
     Rounds not delivered via observe were silent (or the node transmitted,
-    which it knows).  done is terminal.
+    which it knows).  done is terminal.  next_transmit_round(r) names the
+    earliest round >= r in which the node may transmit, or None; it may run
+    the automaton's timers due by round r.  The engines report an exception
+    raised in any of the three as a SimulationError naming round and node.
     """
 
     done: bool
@@ -222,6 +225,14 @@ def _observe(
             raise SimulationError(f"automaton failed in observe: {exc}", r, v) from exc
 
 
+def _query_failed(exc: Exception, r: int, v: int) -> NoReturn:
+    """Re-raise what node v raised when asked for its next transmission from
+    round r on: a SimulationError as it is, anything else wrapped in one."""
+    if isinstance(exc, SimulationError):
+        raise exc
+    raise SimulationError(f"automaton failed in next_transmit_round: {exc}", r, v) from exc
+
+
 def run(
     g: Graph,
     automata: Dict[int, Automaton],
@@ -271,7 +282,10 @@ def run_scheduled(
     for v in range(g.n):
         if not automata[v].done:
             not_done.add(v)
-        nxt = automata[v].next_transmit_round(1)
+        try:
+            nxt = automata[v].next_transmit_round(1)
+        except Exception as exc:
+            _query_failed(exc, 1, v)
         if nxt is not None:
             heapq.heappush(heap, (nxt, v))
     last_activity = 0
@@ -279,7 +293,10 @@ def run_scheduled(
         r = None
         while heap:
             declared, v = heap[0]
-            actual = automata[v].next_transmit_round(declared)
+            try:
+                actual = automata[v].next_transmit_round(declared)
+            except Exception as exc:
+                _query_failed(exc, declared, v)
             if actual == declared:
                 r = declared
                 break
@@ -312,7 +329,10 @@ def run_scheduled(
                 not_done.discard(v)
             elif v not in not_done:
                 not_done.add(v)
-            nxt = automata[v].next_transmit_round(r + 1)
+            try:
+                nxt = automata[v].next_transmit_round(r + 1)
+            except Exception as exc:
+                _query_failed(exc, r + 1, v)
             if nxt is not None:
                 heapq.heappush(heap, (nxt, v))
         if any(msg is not None for msg in actions.values()):

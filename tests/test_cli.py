@@ -219,6 +219,15 @@ def test_lowerbound_lemmas_refuses_an_empty_check(args, capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize("delta", ["2", "3"])
+def test_lowerbound_lemmas_refuses_a_degree_below_four(delta, capsys):
+    code = run_cli("lowerbound", "lemmas", "--delta", delta, "--rounds", "10", "--trials", "2")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: lemma checks need delta >= 4, got {delta}" in captured.err
+
+
 def test_lowerbound_lemmas_passes_beta_zero(monkeypatch):
     seen = {}
 
@@ -265,6 +274,20 @@ def test_run_report_counts_rounds_up_to_a_failure(tmp_path, monkeypatch):
     g.write_text("2 1\n0 1\n")
     assert run_cli("run", str(g), "--report", str(report)) == 1
     assert json.loads(read(report))["rounds_used"] == 5
+
+
+def test_run_reports_a_fault_in_next_transmit_round(tmp_path, monkeypatch, capsys):
+    # phase 1 starts on an alarm that the engine's next-transmission query fires
+    def on_phase_start(self, r, i):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(SizeDiscoveryNode, "_on_phase_start", on_phase_start)
+    g = tmp_path / "k2.g"
+    g.write_text("2 1\n0 1\n")
+    assert run_cli("run", str(g)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("failure: round ")
+    assert "automaton failed in next_transmit_round: injected fault" in err
 
 
 def test_run_batch_of_seeded_trees(tmp_path):

@@ -4,15 +4,18 @@ from hypothesis import given, strategies as st
 from rsd import radio
 from rsd.generators import path, random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
+from rsd.labels import Label, make_markers
 from rsd.protocol import (
     MAX_WAVE_BITS,
     MalformedWaveError,
     SizeDiscoveryNode,
+    depth_report_round,
     run_protocol,
     t1_formula,
     tau_formula,
     wave_decode,
     wave_encode,
+    wave_span,
 )
 from rsd.upper_sets import bitlen, finalize_weight_tags
 
@@ -310,6 +313,21 @@ def test_failed_run_reports_the_failing_round(monkeypatch):
     assert res.trace.last == 4
 
 
+def test_fault_in_next_transmit_round_is_a_run_failure(monkeypatch):
+    # alarms fire when the engine asks a node for its next transmission, so a
+    # fault there ends the run as a fault in decide or observe does
+    def on_phase_start(self, r, i):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(SizeDiscoveryNode, "_on_phase_start", on_phase_start)
+    res = run_protocol(star(3))
+    t1 = t1_formula(res.decomposition.delta, res.decomposition.h)
+    assert not res.ok
+    assert res.failure.startswith(f"round {t1 + 1}, node ")
+    assert "automaton failed in next_transmit_round: injected fault" in res.failure
+    assert res.rounds_used == t1 + 1
+
+
 def test_round_cap_env_override(monkeypatch):
     monkeypatch.setenv("RSD_ROUND_CAP_MULTIPLIER", "1")
     res = run_protocol(star(1))
@@ -447,6 +465,73 @@ def test_depth_report_relayed_once_per_hop(g):
         if isinstance(msg, radio.HopValue)
     ]
     assert len(senders) == len(set(senders)) == res.decomposition.h
+
+
+# --- wave validator guards ---------------------------------------------------
+#
+# Each validator is called on a node whose state is set by hand and whose
+# listener has heard nothing unless a test says so, so only the round
+# arithmetic and the validator's own guards decide.
+
+
+def _hand_set_node(**state):
+    """A plain non-root node awaiting its first wave, with `state` set by hand."""
+    node = SizeDiscoveryNode(Label(make_markers()))
+    for name, value in state.items():
+        setattr(node, name, value)
+    return node
+
+
+def test_mid_phase_wave_travels_at_most_twice_the_depth():
+    # x sent from t2 ends its d-th hop at t2 + d * wave_span(x), for d <= 2h
+    node = _hand_set_node(h=3, t2=100)
+    span = wave_span(5)
+    assert node._validate_x_wave(5, 100 + 6 * span) == {"distance": 6}
+    assert node._validate_x_wave(5, 100 + 7 * span) is None
+
+
+def test_wave_is_dated_from_its_first_hop():
+    # a wave's sender hears nothing of it: the first listener is one hop away
+    node = _hand_set_node(h=3, t2=100)
+    assert node._validate_x_wave(5, 100 + wave_span(5)) == {"distance": 1}
+    assert node._validate_x_wave(5, 100) is None
+    # the degree wave leaves after the bitlen(delta) tag rounds
+    assert node._validate_delta_wave(6, 3 + wave_span(6)) == {"level": 1}
+    assert node._validate_delta_wave(6, 3) is None
+
+
+def test_h_wave_never_names_a_depth_below_the_level():
+    node = _hand_set_node(delta=6, m=3, level=3)
+    assert node._validate_h_wave(3, depth_report_round(6, 3) + 3 * wave_span(3)) == {}
+    # depth 2 dates this round as level 3's hop, yet no level 3 exists at depth 2
+    assert node._validate_h_wave(2, depth_report_round(6, 2) + 3 * wave_span(2)) is None
+
+
+def test_t_wave_value_is_a_block_end():
+    # T is the round a member stopped in: t2' + j * tau for some j >= 1
+    node = _hand_set_node(h=2, t2p=200, tau=7)
+    t = 200 + 3 * 7
+    assert node._validate_t_wave(t, t + wave_span(t)) == {"distance": 1}
+    assert node._validate_t_wave(t + 1, t + 1 + wave_span(t + 1)) is None
+    assert node._validate_t_wave(200, 200 + wave_span(200)) is None
+
+
+def test_n_wave_value_is_at_least_two():
+    node = _hand_set_node(t2=500, level=2)
+    assert node._validate_n_wave(2, 500 + 2 * wave_span(2)) == {}
+    assert node._validate_n_wave(1, 500 + 2 * wave_span(1)) is None
+
+
+def test_wave_needs_a_quiet_window_before_its_front():
+    # untyped noise after the sending round and up to the front (the round
+    # before the last hop began) exposes a forged alignment
+    t2, span = 100, wave_span(5)
+    r = t2 + 2 * span
+    for heard, accepted in (([t2], True), ([t2 + 1], False), ([r - span], False),
+                            ([r - span + 1], True)):
+        node = _hand_set_node(h=3, t2=t2)
+        node._listener.cands.extend(heard)
+        assert (node._validate_x_wave(5, r) is not None) == accepted, heard
 
 
 def test_listener_accepts_clean_wave():
