@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List, Tuple
 
 from .graphs import Graph
@@ -26,19 +27,21 @@ def random_tree(n: int, delta_cap: int, seed: int) -> Graph:
     degree < delta_cap among 0..k-1."""
     if n < 2:
         raise ValueError("random trees need n >= 2")
-    if delta_cap < 2 and n > 2:
+    if delta_cap < min(2, n - 1):
         raise ValueError(f"delta cap {delta_cap} cannot host a tree on {n} nodes")
     rng = random.Random(seed)
     degree = [0] * n
+    hosts = [0]  # ascending: the nodes among 0..k-1 of degree < delta_cap; never empty
     edges: List[Tuple[int, int]] = []
     for k in range(1, n):
-        hosts = [v for v in range(k) if degree[v] < delta_cap]
-        if not hosts:
-            raise ValueError(f"delta cap {delta_cap} exhausted at node {k}")
         host = rng.choice(hosts)
         edges.append((host, k))
         degree[host] += 1
         degree[k] += 1
+        if degree[host] == delta_cap:
+            del hosts[bisect_left(hosts, host)]
+        if degree[k] < delta_cap:
+            hosts.append(k)
     return Graph.from_edges(n, edges)
 
 

@@ -104,6 +104,15 @@ def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
     admit the smallest-id node that still covers something.  The first
     member is the smallest-id node with an uncovered upper neighbor.
 
+    Within a level the admission state is kept incrementally, in time linear
+    in the level's edges: each level-l node counts its uncovered upper
+    neighbours and leaves the candidate set when the count reaches 0; the
+    smallest candidate is read with a pointer that only moves forward along
+    the sorted level, since the candidates only shrink; and the anchor
+    search walks a stack of the members' tagged children, newest member
+    first, dropping for good a child none of whose neighbours is a
+    candidate.
+
     Once a level is complete, ids are re-dealt among each member's private
     children: a child heard by members other than its owner transmits into
     their accounting windows, so it must not sit on a 0 digit of the
@@ -123,29 +132,41 @@ def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
     foreign_all: set = set()
 
     for l in range(d.h):
+        level = d.levels[l]
         uncovered = set(d.levels[l + 1])
+        upper = {v: sum(1 for w in g.adj[v] if d.level[w] == l + 1) for v in level}
+        cands = {v for v in level if upper[v]}
+        first = 0  # cands only shrinks, so min(cands) only moves right along the level
+        stack: List[List[int]] = []  # per member, newest last: tagged children, reversed
         inherited_of: Dict[int, int] = {}  # member -> its inherited id, in admission order
         anchors: set = set()
         while uncovered:
-            cands = {v for v in d.levels[l] if not uncovered.isdisjoint(g.adj[v])}
             assert cands, f"level {l}: uncovered nodes remain but no eligible member"
-            anchor = next(
-                (
-                    u
-                    for a in reversed(inherited_of)
-                    for u in tag_order[a]
-                    if not cands.isdisjoint(g.adj[u])
-                ),
-                None,
-            )
+            anchor = None
+            while stack:
+                kids = stack[-1]
+                while kids and cands.isdisjoint(g.adj[kids[-1]]):
+                    kids.pop()  # no candidate neighbour now means none ever again
+                if kids:
+                    anchor = kids[-1]
+                    break
+                stack.pop()
             if anchor is None:
-                v, inherited = min(cands), 1
+                while level[first] not in cands:
+                    first += 1
+                v, inherited = level[first], 1
             else:
                 anchors.add(anchor)
                 v, inherited = min(cands.intersection(g.adj[anchor])), child_id[anchor]
             private = sorted(w for w in g.adj[v] if w in uncovered)
             assert private, "admitted a member with no private children"
             uncovered.difference_update(private)
+            for u in private:
+                for w in g.adj[u]:
+                    if d.level[w] == l:
+                        upper[w] -= 1
+                        if not upper[w]:
+                            cands.discard(w)
             inherited_of[v] = inherited
             nprime[v] = tuple(private)
             owner.update((u, v) for u in private)
@@ -153,6 +174,7 @@ def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
             ids = [inherited] + [i for i in range(1, m_ids + 1) if i != inherited][: k - 1]
             child_id.update(zip(private, ids))
             tag_order[v] = tuple(private[:k])
+            stack.append(list(reversed(tag_order[v])))
 
         us[l] = tuple(inherited_of)
         foreign = {

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
+from test_acceptance import build_corpus
 
 from rsd.graphs import Graph, GraphFormatError, decompose, parse_graph
-from rsd.generators import random_connected_graph, random_tree, star
+from rsd.generators import path, random_connected_graph, random_tree, star
 
 
 def test_parse_k2():
@@ -126,6 +128,13 @@ def test_tree_generator_is_tree_and_respects_cap():
         assert g.max_degree() <= 5
 
 
+def test_tree_generator_refuses_a_cap_no_tree_fits():
+    assert random_tree(2, 1, 0).edges == ((0, 1),)
+    for n, cap in ((2, 0), (2, -1), (3, 1), (40, 1)):
+        with pytest.raises(ValueError, match="cannot host a tree"):
+            random_tree(n, cap, 0)
+
+
 def test_graph_generator_respects_cap():
     for seed in range(10):
         g = random_connected_graph(40, 6, seed)
@@ -136,3 +145,110 @@ def test_graph_generator_respects_cap():
 def test_diameter_path():
     g = parse_graph("5 4\n0 1\n1 2\n2 3\n3 4\n")
     assert g.diameter() == 4
+
+
+def all_pairs_diameter(g):
+    return max(max(g.bfs_levels(v)) for v in range(g.n))
+
+
+def count_bfs(monkeypatch):
+    """The sources of every BFS run from now on."""
+    runs = []
+    bfs_levels = Graph.bfs_levels
+
+    def counted(g, source):
+        runs.append(source)
+        return bfs_levels(g, source)
+
+    monkeypatch.setattr(Graph, "bfs_levels", counted)
+    return runs
+
+
+def connected_graphs(n):
+    """Every connected labelled graph on n nodes."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        try:
+            yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        except GraphFormatError:
+            pass
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def hypercube(dim):
+    return Graph.from_edges(
+        1 << dim, [(v, v | 1 << i) for v in range(1 << dim) for i in range(dim) if not v >> i & 1]
+    )
+
+
+def test_diameter_of_every_connected_graph_up_to_five_nodes():
+    count = 0
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            assert g.diameter() == all_pairs_diameter(g), g.edges
+            count += 1
+    assert count == 1 + 1 + 4 + 38 + 728
+
+
+STRUCTURED = (
+    [(f"path-{n}", path(n), n - 1) for n in (2, 3, 10, 41)]
+    + [(f"cycle-{n}", cycle(n), n // 2) for n in (3, 4, 9, 10, 31, 32)]
+    + [(f"grid-{r}x{c}", grid(r, c), r + c - 2) for r, c in ((1, 5), (2, 2), (3, 7), (12, 12))]
+    + [(f"K{n}", Graph.from_edges(n, list(itertools.combinations(range(n), 2))), 1)
+       for n in (2, 3, 7)]
+    + [(f"K{a},{b}", complete_bipartite(a, b), 2) for a, b in ((1, 4), (2, 2), (3, 5), (6, 6))]
+    + [(f"Q{dim}", hypercube(dim), dim) for dim in range(1, 7)]
+    + [(f"star-{delta}", star(delta), min(delta, 2)) for delta in (1, 2, 3, 50)]
+)
+
+
+@pytest.mark.parametrize("g,want", [s[1:] for s in STRUCTURED], ids=[s[0] for s in STRUCTURED])
+def test_diameter_of_structured_graphs(g, want):
+    assert all_pairs_diameter(g) == want
+    assert g.diameter() == want
+
+
+def test_diameter_scans_a_fringe_when_the_double_sweep_falls_short(monkeypatch):
+    # K4 minus the edge 2-3: the sweep from the hub 0 ends at hub 1, and both
+    # hubs have eccentricity 1, so only the fringe scan finds 2 and 3
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert max(g.bfs_levels(0)) == max(g.bfs_levels(1)) == 1
+    runs = count_bfs(monkeypatch)
+    assert g.diameter() == 2 == all_pairs_diameter(g)
+    assert len(runs) > 3
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_diameter_of_random_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(2, 70)
+    p = rng.choice((0.03, 0.06, 0.1, 0.2, 0.5))
+    edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+    edges.update((rng.randrange(k), k) for k in range(1, n))  # keep it connected
+    g = Graph.from_edges(n, edges)
+    assert g.diameter() == all_pairs_diameter(g)
+
+
+def test_diameter_of_the_corpus():
+    for name, g in build_corpus():
+        assert g.diameter() == all_pairs_diameter(g), name
+
+
+@pytest.mark.parametrize("g", [star(2048), random_tree(3000, 16, 1)], ids=["star", "tree"])
+def test_diameter_takes_a_handful_of_bfs_runs(monkeypatch, g):
+    runs = count_bfs(monkeypatch)
+    g.diameter()
+    assert len(runs) <= 8

@@ -55,11 +55,13 @@ def test_invisible_zero_bit_report_robbery():
     ok(random_connected_graph(80, 32, 2 + 13 * 80))
 
 
-@pytest.mark.parametrize(
-    "n,cap,seed,extra",
-    [(62, 10, 5000 + 3 + 31 * 62 + 186, 186), (68, 10, 5000 + 2 + 31 * 68 + 204, 204),
-     (72, 6, 5000 + 3 + 31 * 72 + 144, 144)],
-)
+DENSE_REPAIRS = [
+    (62, 10, 5000 + 3 + 31 * 62 + 186, 186), (68, 10, 5000 + 2 + 31 * 68 + 204, 204),
+    (72, 6, 5000 + 3 + 31 * 72 + 144, 144),
+]
+
+
+@pytest.mark.parametrize("n,cap,seed,extra", DENSE_REPAIRS)
 def test_dense_robbery_requires_replay_repairs(n, cap, seed, extra):
     # dense graphs whose weight classes run out of owner-private carriers;
     # the offline replay must promote robbed carriers to 1-digit positions

@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
+from test_acceptance import build_corpus
+from test_regressions import DENSE_REPAIRS
 
 from rsd.generators import random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
 from rsd.upper_sets import (
+    _audibility_assignment,
     bitlen,
     bits_value,
     collision_tag_map,
@@ -178,3 +181,74 @@ def test_completion_schedule_marks_last_finisher():
     for l in range(d.h):
         assert set(blocks[l]) == set(plan.us[l])
         assert min(blocks[l].values()) >= 1
+
+
+def whole_level_upper_sets(g, d):
+    """The plain admission loop, kept as the reference: it rebuilds the
+    candidate set from the whole level and scans every tagged child for an
+    anchor on each admission.  Returns the plan's fields and
+    how many members were admitted through an anchor."""
+    m_ids = bitlen(d.delta)
+    us, nprime, owner, child_id, tag_order, foreign_all = {}, {}, {}, {}, {}, set()
+    anchored = 0
+    for l in range(d.h):
+        uncovered = set(d.levels[l + 1])
+        inherited_of = {}
+        anchors = set()
+        while uncovered:
+            cands = {v for v in d.levels[l] if not uncovered.isdisjoint(g.adj[v])}
+            anchor = next(
+                (u for a in reversed(inherited_of) for u in tag_order[a]
+                 if not cands.isdisjoint(g.adj[u])),
+                None,
+            )
+            if anchor is None:
+                v, inherited = min(cands), 1
+            else:
+                anchored += 1
+                anchors.add(anchor)
+                v, inherited = min(cands.intersection(g.adj[anchor])), child_id[anchor]
+            private = sorted(w for w in g.adj[v] if w in uncovered)
+            uncovered.difference_update(private)
+            inherited_of[v] = inherited
+            nprime[v] = tuple(private)
+            owner.update((u, v) for u in private)
+            k = bitlen(len(private))
+            ids = [inherited] + [i for i in range(1, m_ids + 1) if i != inherited][: k - 1]
+            child_id.update(zip(private, ids))
+            tag_order[v] = tuple(private[:k])
+        us[l] = tuple(inherited_of)
+        foreign = {u for u in d.levels[l + 1] if sum(1 for w in g.adj[u] if w in inherited_of) >= 2}
+        foreign_all.update(foreign)
+        for v, inherited in inherited_of.items():
+            bit_of = digits(len(nprime[v]), [child_id[u] for u in tag_order[v]])
+            for u in tag_order[v]:
+                if u in anchors:
+                    del bit_of[child_id[u]]
+                else:
+                    del child_id[u]
+            pool = [u for u in nprime[v] if u not in anchors]
+            child_id.update(_audibility_assignment(bit_of, pool, foreign))
+            tagged = [u for u in nprime[v] if u in child_id]
+            first = next(u for u in tagged if child_id[u] == inherited)
+            tag_order[v] = (first,) + tuple(u for u in tagged if u != first)
+    return (us, nprime, owner, child_id, tag_order, frozenset(foreign_all)), anchored
+
+
+def test_admission_matches_the_whole_level_reference():
+    graphs = [g for i, (_name, g) in enumerate(build_corpus()[:450]) if i % 8 == 0]
+    graphs += [random_connected_graph(n, cap, seed, extra_edges=extra)
+               for n, cap, seed, extra in DENSE_REPAIRS]
+    graphs.append(random_connected_graph(300, 16, 1, extra_edges=300))
+    anchored = 0
+    for g in graphs:
+        d = decompose(g)
+        plan = compute_upper_sets(g, d)
+        fields = (plan.us, plan.nprime, plan.owner, plan.child_id, plan.tag_order, plan.foreign)
+        want, used = whole_level_upper_sets(g, d)
+        # dicts compare in insertion order too: the admission order is the output
+        assert [list(f.items()) if isinstance(f, dict) else f for f in fields] == [
+            list(f.items()) if isinstance(f, dict) else f for f in want
+        ], g.edges
+        anchored += used
+    assert anchored > 0
