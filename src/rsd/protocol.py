@@ -196,6 +196,11 @@ class WaveListener:
 
 # --- the node automaton -------------------------------------------------------
 
+def _is_pulse(obs: Observation) -> bool:
+    """Collision noise sounds the same as a wave pulse."""
+    return obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, WavePulse))
+
+
 class SizeDiscoveryNode:
     """Deterministic per-node machine; consumes only its label and observations."""
 
@@ -256,7 +261,7 @@ class SizeDiscoveryNode:
             handler = getattr(self, f"_obs_{self.stage}", None)
             if handler is not None:
                 handler(r, obs)
-        elif obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, WavePulse)):
+        elif _is_pulse(obs):
             got = listener.pulse(r)
             if got is not None:
                 on_wave = self._on_wave
@@ -272,6 +277,41 @@ class SizeDiscoveryNode:
         if self._alarms and (nxt is None or self._alarms[0][0] < nxt):
             return self._alarms[0][0]
         return nxt
+
+    def train(self, r: int) -> List[int]:
+        """The outbox rounds from r on that hold round r's message, up to the
+        first other message and before the first alarm: the pulses of the
+        waves in flight."""
+        msg = self._outbox.get(r)
+        end = self._alarms[0][0] if self._alarms else float("inf")
+        rounds = []
+        for q in sorted(self._outbox):
+            if q >= end or self._outbox[q] is not msg:
+                break
+            rounds.append(q)
+        return rounds
+
+    def reacts_at(self, rounds: List[int], obs: Observation) -> Optional[int]:
+        """The first of `rounds` at which hearing `obs` could act: with a
+        listener armed, the first pulse that closes an 11 pair; in a stage
+        with an `_obs_*` handler, the first round."""
+        listener = self._listener
+        if listener is None:
+            return rounds[0] if hasattr(self, f"_obs_{self.stage}") else None
+        if not _is_pulse(obs):
+            return rounds[0]
+        prev = listener.cands[-1] if listener.cands else None
+        for q in rounds:
+            if prev == q - 1:
+                return q
+            prev = q
+        return None
+
+    def absorb(self, rounds: List[int], obs: Observation) -> None:
+        """Hear `obs` in each of `rounds`, all before `reacts_at`'s answer:
+        the pulses only extend the listener's record."""
+        if self._listener is not None:
+            self._listener.cands.extend(rounds)
 
     # -- internal plumbing --
 

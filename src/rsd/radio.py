@@ -5,16 +5,22 @@ listens.  A listener hears a message iff exactly one neighbor transmits;
 two or more transmitting neighbors produce collision noise, zero produce
 silence.  Transmitters learn nothing in their own round.
 
-Two engines drive automata over this model, and both resolve each round
+Two engines drive automata over this model, and both resolve rounds
 through `resolve_round`.  `run_scheduled` drives every run: it skips
 globally silent stretches by asking automata when they might transmit
 next, steps only the nodes a round can affect, and can record a trace.
+Where the round's senders share one pulse train and no other node can
+transmit before it ends, it resolves the train as one pulse window: one
+`resolve_round` call, whose observations hold for every round of the
+train, delivered to each listener in one call up to the first round at
+which the listener could react.  Anything else goes round by round.
 `run` visits every round and every node (the reference semantics); the
 tests check `run_scheduled` against it.
 """
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NoReturn, Optional, Protocol, Tuple
 
@@ -123,8 +129,19 @@ class Automaton(Protocol):
     Rounds not delivered via observe were silent (or the node transmitted,
     which it knows).  done is terminal.  next_transmit_round(r) names the
     earliest round >= r in which the node may transmit, or None; it may run
-    the automaton's timers due by round r.  The engines report an exception
-    raised in any of the three as a SimulationError naming round and node.
+    the automaton's timers due by round r.
+
+    Three optional methods let `run_scheduled` resolve pulse windows; an
+    automaton without them always goes round by round.  train(r), asked
+    before decide(r), lists the rounds from r on in which the node sends
+    round r's message if nothing it hears changes its schedule; it runs no
+    timer, and ends before the first one and at the first other message.
+    reacts_at(rounds, obs) names the first of `rounds` in which observing
+    obs could change when or what the node transmits, or could raise, or
+    None.  absorb(rounds, obs) delivers obs for each of `rounds`, all before
+    that answer, and only records them.  The first two change no state.
+    The engines report an exception raised in any of these methods as a
+    SimulationError naming round and node.
     """
 
     done: bool
@@ -197,6 +214,14 @@ def _obs_str(obs: Observation) -> str:
     return f"H:{type(obs.message).__name__}"
 
 
+def _fault(exc: Exception, method: str, r: int, v: int) -> NoReturn:
+    """Re-raise what node v raised in `method` at round r: a SimulationError
+    as it is, anything else wrapped in one naming the round and node."""
+    if isinstance(exc, SimulationError):
+        raise exc
+    raise SimulationError(f"automaton failed in {method}: {exc}", r, v) from exc
+
+
 def _decide(
     automata: Dict[int, Automaton], nodes: Iterable[int], r: int
 ) -> Dict[int, Optional[Message]]:
@@ -205,10 +230,8 @@ def _decide(
     for v in nodes:
         try:
             actions[v] = automata[v].decide(r)
-        except SimulationError:
-            raise
         except Exception as exc:
-            raise SimulationError(f"automaton failed in decide: {exc}", r, v) from exc
+            _fault(exc, "decide", r, v)
     return actions
 
 
@@ -219,18 +242,16 @@ def _observe(
     for v in nodes:
         try:
             automata[v].observe(r, obs[v])
-        except SimulationError:
-            raise
         except Exception as exc:
-            raise SimulationError(f"automaton failed in observe: {exc}", r, v) from exc
+            _fault(exc, "observe", r, v)
 
 
-def _query_failed(exc: Exception, r: int, v: int) -> NoReturn:
-    """Re-raise what node v raised when asked for its next transmission from
-    round r on: a SimulationError as it is, anything else wrapped in one."""
-    if isinstance(exc, SimulationError):
-        raise exc
-    raise SimulationError(f"automaton failed in next_transmit_round: {exc}", r, v) from exc
+def _next(automata: Dict[int, Automaton], v: int, r: int) -> Optional[int]:
+    """Node v's earliest possible transmission from round r on."""
+    try:
+        return automata[v].next_transmit_round(r)
+    except Exception as exc:
+        _fault(exc, "next_transmit_round", r, v)
 
 
 def run(
@@ -260,17 +281,81 @@ def run(
     return trace, last_activity
 
 
+def _shared_train(
+    automata: Dict[int, Automaton], senders: List[int], r: int
+) -> Optional[List[int]]:
+    """The train every sender of round r reports, if they all report the same
+    one of two rounds or more; else None."""
+    shared = None
+    for v in senders:
+        train = getattr(automata[v], "train", None)
+        if train is None:
+            return None
+        try:
+            rounds = train(r)
+        except Exception as exc:
+            _fault(exc, "train", r, v)
+        if shared is None:
+            shared = rounds
+        elif rounds != shared:
+            return None
+    return shared if len(shared) >= 2 else None
+
+
+def _window(
+    automata: Dict[int, Automaton],
+    heap: List[Tuple[int, int]],
+    train: List[int],
+    actions: Dict[int, Optional[Message]],
+    obs: Dict[int, Observation],
+    max_rounds: int,
+) -> List[int]:
+    """The rounds of the senders' `train` that one observation per node can
+    resolve: those within the cap and before the first heap entry of any
+    other node, up to the first round at which a listener could react."""
+    while heap and heap[0][1] in actions:
+        heapq.heappop(heap)  # senders are queried afresh after the window
+    end = min(heap[0][0] - 1, max_rounds) if heap else max_rounds
+    rounds = train[: bisect_right(train, end)]
+    for v, o in obs.items():
+        if len(rounds) < 2:
+            break
+        if v in actions:
+            continue
+        reacts_at = getattr(automata[v], "reacts_at", None)
+        try:
+            first = rounds[0] if reacts_at is None else reacts_at(rounds, o)
+        except Exception as exc:
+            _fault(exc, "reacts_at", rounds[0], v)
+        if first is not None:
+            rounds = rounds[: bisect_right(rounds, first)]
+    return rounds
+
+
 def run_scheduled(
     g: Graph,
     automata: Dict[int, Automaton],
     max_rounds: int,
     trace: Optional[SimulationTrace] = None,
 ) -> int:
-    """Fast engine: jump between rounds where some node may transmit.
+    """Fast engine: jump between rounds where some node transmits.
 
     Sound because automata ignore silence: the next pending transmission of
     an automaton that no round touches never moves earlier, so a lazy heap
     of declared rounds always knows the next globally non-silent round.
+    Every heap entry of that round is checked, so only nodes that transmit
+    in it decide it.
+
+    When those senders share one pulse train (see `Automaton`), the engine
+    resolves the train's rounds as one pulse window: `resolve_round` once,
+    its observations reused for every round of the window.  The window ends
+    before the first heap entry of any other node, within the cap, and at
+    the first round at which a listener could react.  Senders decide every
+    round of it; each listener absorbs all but the last round in one call,
+    and the last round is observed as any other, so reactions, relays and
+    faults land in the same round and node as in the reference.  Where any
+    of this does not hold, the engine goes round by round.
+
     Every round it resolves goes into `trace`, if given; when the cap stops
     the run, the trace ends at round max_rounds, as the reference's does.
     Returns the last round in which anyone transmitted.
@@ -282,26 +367,18 @@ def run_scheduled(
     for v in range(g.n):
         if not automata[v].done:
             not_done.add(v)
-        try:
-            nxt = automata[v].next_transmit_round(1)
-        except Exception as exc:
-            _query_failed(exc, 1, v)
+        nxt = _next(automata, v, 1)
         if nxt is not None:
             heapq.heappush(heap, (nxt, v))
     last_activity = 0
     while not_done:
         r = None
-        while heap:
-            declared, v = heap[0]
-            try:
-                actual = automata[v].next_transmit_round(declared)
-            except Exception as exc:
-                _query_failed(exc, declared, v)
+        while heap and r is None:
+            declared, v = heapq.heappop(heap)
+            actual = _next(automata, v, declared)
             if actual == declared:
                 r = declared
-                break
-            heapq.heappop(heap)
-            if actual is not None:
+            elif actual is not None:
                 heapq.heappush(heap, (actual, v))
         if r is None:
             v = min(not_done)
@@ -314,13 +391,32 @@ def run_scheduled(
             if trace is not None:
                 trace.last = max_rounds
             return last_activity
-        candidates: List[int] = []
+        senders = [v]
         while heap and heap[0][0] == r:
             _, v = heapq.heappop(heap)
-            if v not in candidates:
-                candidates.append(v)
-        actions = _decide(automata, candidates, r)
+            if v not in senders:
+                actual = _next(automata, v, r)
+                if actual == r:
+                    senders.append(v)
+                elif actual is not None:
+                    heapq.heappush(heap, (actual, v))
+        train = _shared_train(automata, senders, r)
+        actions = _decide(automata, senders, r)
         obs = resolve_round(g, actions)
+        rounds = [r] if train is None else _window(automata, heap, train, actions, obs, max_rounds)
+        for q in rounds[1:]:
+            if trace is not None:
+                trace.record(r, actions, obs)
+            r = q
+            actions = _decide(automata, senders, r)
+        heard = rounds[:-1]
+        if heard:
+            for v, o in obs.items():
+                if v not in actions:
+                    try:
+                        automata[v].absorb(heard, o)
+                    except Exception as exc:
+                        _fault(exc, "absorb", heard[0], v)
         _observe(automata, sorted(obs), r, obs)
         if trace is not None:
             trace.record(r, actions, obs)
@@ -329,10 +425,7 @@ def run_scheduled(
                 not_done.discard(v)
             elif v not in not_done:
                 not_done.add(v)
-            try:
-                nxt = automata[v].next_transmit_round(r + 1)
-            except Exception as exc:
-                _query_failed(exc, r + 1, v)
+            nxt = _next(automata, v, r + 1)
             if nxt is not None:
                 heapq.heappush(heap, (nxt, v))
         if any(msg is not None for msg in actions.values()):

@@ -6,12 +6,21 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 from rsd.generators import random_tree
+from rsd.graphs import Graph
 from rsd.protocol import run_protocol
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 from tracer import Tracer, instrument  # noqa: E402
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
 
 
 def test_traced_run_counts_listener_pulses_and_schedule_queries():
@@ -21,3 +30,18 @@ def test_traced_run_counts_listener_pulses_and_schedule_queries():
     assert res.ok
     assert tracer.counts["protocol.listener_pulses"] > 0
     assert tracer.counts["radio.schedule_queries"] > 0
+
+
+@pytest.mark.parametrize("g", [random_tree(30, 4, 2), grid(4, 5)], ids=["tree", "grid"])
+def test_traced_counts_match_the_trace(g):
+    # the engine resolves pulse windows at once, yet every transmission is
+    # still decided, so the tracer's counts agree with the trace text
+    tracer = Tracer()
+    with instrument(tracer):
+        res = run_protocol(g, record_trace=True)
+    assert res.ok
+    sends = [line.split()[0] for line in res.trace.format_text().splitlines() if " T:" in line]
+    assert tracer.counts["protocol.transmissions"] == len(sends)
+    assert tracer.counts["radio.nonsilent_rounds"] == len(set(sends))
+    assert tracer.counts["protocol.decide_calls"] == len(sends)
+    assert tracer.counts["radio.resolve_round_calls"] < len(set(sends))

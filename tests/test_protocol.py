@@ -383,6 +383,11 @@ _EXTRA_SHAPES = {
     "K2,4": lambda: _complete_bipartite(2, 4),
     "Q3": lambda: _hypercube(3),
     "Q4": lambda: _hypercube(4),
+    # deep or wide shapes, where most transmissions are multi-pulse trains
+    "path24": lambda: path(24),
+    "cycle25": lambda: _cycle(25),
+    "grid5x5": lambda: _grid(5, 5),
+    "star12": lambda: star(12),
 }
 
 
@@ -406,6 +411,18 @@ def test_engine_parity_across_shapes(shape):
     assert fast.trace.format_text() == ref_trace.format_text()
     for v in range(g.n):
         assert fast.nodes[v].events == ref_nodes[v].events
+
+
+def test_pulse_windows_resolve_many_rounds_at_once(monkeypatch):
+    # the fast engine resolves a quiet pulse train with one resolve_round
+    # call, so a deep run makes fewer calls than it has rounds with a sender
+    calls = []
+    real = radio.resolve_round
+    monkeypatch.setattr(radio, "resolve_round", lambda *a: calls.append(a) or real(*a))
+    res = run_protocol(path(24), record_trace=True)
+    assert res.ok
+    busy = sum(any(acts.values()) for acts, _obs in res.trace.rounds.values())
+    assert len(calls) < busy / 2
 
 
 @pytest.mark.parametrize("s", range(7))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from rsd import radio
 from rsd.generators import path, random_connected_graph, star
 from rsd.graphs import Graph
 from rsd.radio import (
@@ -199,3 +200,130 @@ def test_resolve_round_counts(n, data):
             assert part_obs[v] == obs[v]
         else:
             assert obs[v] is SILENCE
+
+
+class Pulser(Dummy):
+    """Dummy that reports its pulse trains and, with `reply_after` set,
+    transmits a reply in the round after its `reply_after`-th heard round.
+
+    A train is the scheduled rounds from r on that hold round r's message,
+    up to the first other one; the node reacts only by replying.
+    """
+
+    def __init__(self, schedule=None, reply_after=None):
+        super().__init__(schedule)
+        self.reply_after = reply_after
+
+    @property
+    def done(self):
+        replied = self.reply_after is None or self.heard() >= self.reply_after
+        return replied and not self.schedule
+
+    def heard(self):
+        return len(_heard(self.seen))
+
+    def observe(self, r, obs):
+        super().observe(r, obs)
+        if obs not in (SILENCE, NOT_LISTENING) and self.heard() == self.reply_after:
+            self.schedule[r + 1] = Opaque("reply")
+
+    def train(self, r):
+        rounds = []
+        for q in sorted(k for k in self.schedule if k >= r):
+            if self.schedule[q] != self.schedule[r]:
+                break
+            rounds.append(q)
+        return rounds
+
+    def reacts_at(self, rounds, obs):
+        if self.reply_after is None:
+            return None
+        k = self.reply_after - self.heard()
+        return rounds[k - 1] if 1 <= k <= len(rounds) else None
+
+    def absorb(self, rounds, obs):
+        self.seen.extend((q, obs) for q in rounds)
+
+
+def _heard(seen):
+    """The observations a node must be given: all but silence and its own
+    transmitting rounds."""
+    return [(r, o) for r, o in seen if o not in (SILENCE, NOT_LISTENING)]
+
+
+def _pulses(*rounds, msg="p"):
+    return {q: Opaque(msg) for q in rounds}
+
+
+def _engines_agree(g, build, max_rounds, monkeypatch):
+    """Run both engines on fresh automata; assert equal trace text, last
+    transmission and heard observations.  Returns the fast engine's number
+    of resolve_round calls and of rounds with a transmitter."""
+    ref = build()
+    ref_trace, ref_last = run(g, ref, max_rounds)
+    fast = build()
+    calls = []
+    real = radio.resolve_round
+    trace = SimulationTrace(g.n)
+    with monkeypatch.context() as m:
+        m.setattr(radio, "resolve_round", lambda *a: calls.append(a) or real(*a))
+        last = run_scheduled(g, fast, max_rounds, trace)
+    assert trace.format_text() == ref_trace.format_text()
+    assert last == ref_last
+    for v in range(g.n):
+        assert _heard(fast[v].seen) == _heard(ref[v].seen), v
+    busy = sum(any(acts.values()) for acts, _obs in ref_trace.rounds.values())
+    return len(calls), busy
+
+
+def test_window_ends_where_a_listener_replies(monkeypatch):
+    # node 1 replies after its second pulse, in the middle of node 0's train
+    g = path(3)
+
+    def build():
+        return {0: Pulser(_pulses(2, 3, 5, 6, 7)), 1: Pulser(reply_after=2), 2: Pulser()}
+
+    calls, busy = _engines_agree(g, build, 20, monkeypatch)
+    assert calls < busy
+
+
+def test_window_ends_before_another_node_may_transmit(monkeypatch):
+    # node 2, out of node 0's reach, collides with its train at node 1
+    g = path(3)
+
+    def build():
+        return {0: Pulser(_pulses(2, 3, 4, 6, 7)), 1: Pulser(), 2: Pulser(_pulses(4, msg="x"))}
+
+    calls, busy = _engines_agree(g, build, 20, monkeypatch)
+    assert calls < busy
+
+
+def test_senders_with_different_trains_go_round_by_round(monkeypatch):
+    g = path(3)
+
+    def build():
+        return {0: Pulser(_pulses(2, 3, 4, 6)), 1: Pulser(), 2: Pulser(_pulses(2, 3, 5))}
+
+    calls, busy = _engines_agree(g, build, 20, monkeypatch)
+    assert calls == busy
+
+
+def test_identical_trains_collide_at_a_shared_listener(monkeypatch):
+    g = star(3)
+
+    def build():
+        train = _pulses(2, 3, 5, 6, 8)
+        return {0: Pulser(), 1: Pulser(train), 2: Pulser(dict(train)), 3: Pulser()}
+
+    calls, busy = _engines_agree(g, build, 20, monkeypatch)
+    assert calls == 1 < busy
+
+
+def test_round_cap_inside_a_train(monkeypatch):
+    g = path(3)
+
+    def build():
+        return {0: Pulser(_pulses(2, 3, 5, 6, 8)), 1: Pulser(reply_after=4), 2: Pulser()}
+
+    for cap in range(0, 10):
+        _engines_agree(g, build, cap, monkeypatch)
