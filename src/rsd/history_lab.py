@@ -76,36 +76,58 @@ def build_family(delta: int) -> List[FamilyTree]:
     return [family_tree(delta, i) for i in _family_range(delta)]
 
 
+Automaton = Callable[[str], bool]
+"""History digest -> transmit?  It must be a pure function of the digest:
+`compute_histories` asks it once per history and table."""
+
+_UNSEEN = object()
+
+
 class HistoryTable:
-    """Hash-consed history store: equal structures share one integer handle."""
+    """Hash-consed history store: equal structures share one integer handle.
+
+    A handle's digest is the blake2b of `leaf|label`, `event|digest(prev)`
+    or `event|digest(prev)|digest(sub)`.  Beside the digests the table keeps
+    each handle's action under the automaton it last served: the one shared
+    `Opaque(handle)` message the history transmits, None when it listens,
+    or `_UNSEEN` until asked.  Serving a different automaton forgets them.
+    """
 
     def __init__(self):
         self._intern: Dict[tuple, int] = {}
         self._digests: List[str] = []
+        self._automaton: Optional[Automaton] = None
+        self._actions: List[object] = []
 
     def leaf(self, label: str) -> int:
-        return self._get(("leaf", label))
+        key = ("leaf", label)
+        hid = self._intern.get(key)
+        return hid if hid is not None else self._add(key, f"leaf|{label}")
 
     def extend(self, prev: int, event: str, sub: Optional[int] = None) -> int:
         key = (event, prev) if sub is None else (event, prev, sub)
-        return self._get(key)
-
-    def _get(self, key: tuple) -> int:
         hid = self._intern.get(key)
-        if hid is None:
-            hid = len(self._digests)
-            self._intern[key] = hid
-            material = "|".join(
-                self._digests[part] if isinstance(part, int) else str(part) for part in key
-            )
-            self._digests.append(hashlib.blake2b(material.encode(), digest_size=16).hexdigest())
+        if hid is not None:
+            return hid
+        material = f"{event}|{self._digests[prev]}"
+        return self._add(key, material if sub is None else f"{material}|{self._digests[sub]}")
+
+    def _add(self, key: tuple, material: str) -> int:
+        hid = len(self._digests)
+        self._intern[key] = hid
+        self._digests.append(hashlib.blake2b(material.encode(), digest_size=16).hexdigest())
+        self._actions.append(_UNSEEN)
         return hid
 
     def digest(self, hid: int) -> str:
         return self._digests[hid]
 
-
-Automaton = Callable[[str], bool]  # history digest -> transmit?
+    def actions(self, automaton: Automaton) -> List[object]:
+        """The action cache for `automaton`, parallel to the handles."""
+        if automaton is not self._automaton:
+            self._automaton = automaton
+            self._actions = [_UNSEEN] * len(self._digests)
+        return self._actions
 
 
 def seeded_automaton(seed: int) -> Automaton:
@@ -131,27 +153,44 @@ def compute_histories(
     Round t+1 actions are the automaton applied to round-t histories; the
     new entry is the transmitter's history when exactly one neighbor
     transmits, a collision mark for two or more, and a silence mark
-    otherwise (transmitters record silence themselves).
+    otherwise (transmitters record silence themselves).  The automaton is
+    asked once per distinct history: the table caches its answers, so the
+    members of a family sharing one table share them too.
     """
     table = table if table is not None else HistoryTable()
     g = tree.graph
-    current = {v: table.leaf(labeling[v]) for v in range(g.n)}
+    nodes = range(g.n)
+    current = {v: table.leaf(labeling[v]) for v in nodes}
     out = [current]
+    intern, digests, add = table._intern, table._digests, table._add
+    cache = table.actions(automaton)
     for _t in range(rounds):
-        actions = {
-            v: Opaque(current[v]) if automaton(table.digest(current[v])) else None
-            for v in range(g.n)
-        }
-        obs = resolve_round(g, actions)
+        sending = {}
+        for v in nodes:
+            hid = current[v]
+            act = cache[hid]
+            if act is _UNSEEN:
+                act = cache[hid] = Opaque(hid) if automaton(digests[hid]) else None
+            if act is not None:
+                sending[v] = act
+        obs = resolve_round(g, sending)
         nxt = {}
-        for v in range(g.n):
-            o = obs[v]
+        for v in nodes:
+            prev = current[v]
+            o = obs.get(v)
             if isinstance(o, Heard):
-                nxt[v] = table.extend(current[v], SUB, o.message.payload)
-            elif o is COLLISION:
-                nxt[v] = table.extend(current[v], STAR)
+                sub = o.message.payload
+                key = (SUB, prev, sub)
+                hid = intern.get(key)
+                if hid is None:
+                    hid = add(key, f"{SUB}|{digests[prev]}|{digests[sub]}")
             else:
-                nxt[v] = table.extend(current[v], LAMBDA)
+                event = STAR if o is COLLISION else LAMBDA
+                key = (event, prev)
+                hid = intern.get(key)
+                if hid is None:
+                    hid = add(key, f"{event}|{digests[prev]}")
+            nxt[v] = hid
         current = nxt
         out.append(current)
     return out
@@ -213,7 +252,12 @@ def pattern_bound_second_path(beta: int) -> int:
 
 
 def crossover(beta: int, delta: int) -> dict:
-    """Evaluate the pigeonhole inequality z^2 * 3^(2z) < delta/2 exactly."""
+    """Evaluate the pigeonhole inequality z^2 * 3^(2z) < delta/2 exactly.
+
+    The family, and so the inequality, exists only from delta 2 on; a smaller
+    delta raises ValueError.
+    """
+    _family_range(delta)
     bound = pattern_bound(beta)
     return {
         "beta": beta,

@@ -10,11 +10,12 @@ import pytest
 
 from rsd.generators import random_tree
 from rsd.graphs import Graph
+from rsd.history_lab import build_family, check_lemmas
 from rsd.protocol import run_protocol
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
-from tracer import Tracer, instrument  # noqa: E402
+from tracer import Tracer, instrument, layer_metrics  # noqa: E402
 
 
 def grid(rows, cols):
@@ -45,3 +46,15 @@ def test_traced_counts_match_the_trace(g):
     assert tracer.counts["radio.nonsilent_rounds"] == len(set(sends))
     assert tracer.counts["protocol.decide_calls"] == len(sends)
     assert tracer.counts["radio.resolve_round_calls"] < len(set(sends))
+
+
+def test_traced_lemma_checks_count_every_history_step():
+    # lemma 1 runs every member once per trial and lemma 2 runs every member
+    # again: at delta 4 all members have the two hub leaves it needs
+    tracer = Tracer()
+    with instrument(tracer):
+        report = check_lemmas(4, trials=2, rounds=10, seed=4)
+    assert report["violations"] == []
+    metrics = layer_metrics(tracer)
+    assert metrics["history_lab.history_steps"] == 2 * 2 * 10 * sum(t.n for t in build_family(4))
+    assert metrics["history_lab.compute_histories_s"] > 0

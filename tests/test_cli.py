@@ -196,6 +196,14 @@ def test_lowerbound_crossover(capsys):
     assert report["bound"] == 324 and report["holds"] is True
 
 
+@pytest.mark.parametrize("delta", ["-5", "0", "1"])
+def test_lowerbound_crossover_refuses_a_degree_without_a_family(delta, capsys):
+    assert run_cli("lowerbound", "crossover", "--beta", "0", "--delta", delta) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: the family needs delta >= 2, got {delta}" in captured.err
+
+
 def test_lowerbound_lemmas(capsys):
     code = run_cli(
         "lowerbound", "lemmas", "--delta", "4", "--rounds", "30", "--trials", "5",

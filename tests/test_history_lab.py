@@ -1,12 +1,19 @@
+import hashlib
+import random
+
 import pytest
 
 from rsd.generators import family_member
 from rsd.history_lab import (
+    LAMBDA,
+    STAR,
+    SUB,
     HistoryTable,
     build_family,
     check_lemmas,
     compute_histories,
     crossover,
+    family_tree,
     label_universe,
     matched_labelings,
     pattern_bound,
@@ -14,6 +21,8 @@ from rsd.history_lab import (
     pattern_of,
     seeded_automaton,
 )
+from rsd.protocol import run_protocol
+from rsd.radio import COLLISION, SILENCE, Heard, Opaque, resolve_round
 
 
 def test_family_delta4():
@@ -186,3 +195,161 @@ def test_histories_reproducible():
     a = compute_histories(tree, labeling, seeded_automaton(42), 30)
     b = compute_histories(tree, labeling, seeded_automaton(42), 30)
     assert a == b
+
+
+def test_crossover_rejects_a_degree_without_a_family():
+    with pytest.raises(ValueError, match="the family needs delta >= 2, got -5"):
+        crossover(0, -5)
+    assert crossover(0, 2)["family_size_lower_bound"] == 1
+
+
+# --- the history loop against a plain reference ---------------------------------
+
+
+class _ReferenceTable:
+    """The history store without an action cache: digests joined part by part."""
+
+    def __init__(self):
+        self._intern = {}
+        self._digests = []
+
+    def leaf(self, label):
+        return self._get(("leaf", label))
+
+    def extend(self, prev, event, sub=None):
+        return self._get((event, prev) if sub is None else (event, prev, sub))
+
+    def _get(self, key):
+        hid = self._intern.get(key)
+        if hid is None:
+            hid = len(self._digests)
+            self._intern[key] = hid
+            material = "|".join(
+                self._digests[part] if isinstance(part, int) else str(part) for part in key
+            )
+            self._digests.append(hashlib.blake2b(material.encode(), digest_size=16).hexdigest())
+        return hid
+
+    def digest(self, hid):
+        return self._digests[hid]
+
+
+def _reference_histories(tree, labeling, automaton, rounds, table):
+    """One automaton call per node and round, one table call per new entry."""
+    g = tree.graph
+    current = {v: table.leaf(labeling[v]) for v in range(g.n)}
+    out = [current]
+    for _t in range(rounds):
+        actions = {
+            v: Opaque(current[v]) if automaton(table.digest(current[v])) else None
+            for v in range(g.n)
+        }
+        obs = resolve_round(g, actions)
+        nxt = {}
+        for v in range(g.n):
+            o = obs[v]
+            if isinstance(o, Heard):
+                nxt[v] = table.extend(current[v], SUB, o.message.payload)
+            elif o is COLLISION:
+                nxt[v] = table.extend(current[v], STAR)
+            else:
+                nxt[v] = table.extend(current[v], LAMBDA)
+        current = nxt
+        out.append(current)
+    return out
+
+
+def _assert_same_histories(hist, table, ref, ref_table):
+    assert len(hist) == len(ref)
+    for t, (now, then) in enumerate(zip(hist, ref)):
+        assert now == then, t
+        assert [table.digest(h) for h in now.values()] == [
+            ref_table.digest(h) for h in then.values()
+        ], t
+
+
+def _automata(rng):
+    """A seeded hash, a silent one, and one transmitting on a fixed digest set."""
+    chosen = set()
+    probe = _ReferenceTable()
+    for tree in build_family(6):
+        labeling = {v: rng.choice(label_universe(1)) for v in range(tree.n)}
+        for now in _reference_histories(tree, labeling, seeded_automaton(7), 12, probe):
+            chosen.update(probe.digest(h) for h in now.values() if rng.random() < 0.5)
+    return [seeded_automaton(rng.getrandbits(32)), lambda digest: False, chosen.__contains__]
+
+
+@pytest.mark.parametrize("delta", range(2, 13))
+def test_histories_match_the_reference_loop(delta):
+    rng = random.Random(delta)
+    for automaton in _automata(rng):
+        # one table shared by the members, as check_lemmas shares it per trial
+        table, ref_table = HistoryTable(), _ReferenceTable()
+        for tree in build_family(delta):
+            universe = label_universe(rng.randrange(3))
+            labeling = {v: rng.choice(universe) for v in range(tree.n)}
+            hist = compute_histories(tree, labeling, automaton, 40, table)
+            ref = _reference_histories(tree, labeling, automaton, 40, ref_table)
+            _assert_same_histories(hist, table, ref, ref_table)
+
+
+def test_a_reused_table_forgets_the_previous_automaton():
+    rng = random.Random(11)
+    tree = family_tree(8, 5)
+    labeling = {v: rng.choice(label_universe(2)) for v in range(tree.n)}
+    table, ref_table = HistoryTable(), _ReferenceTable()
+    runs = _automata(rng) + [seeded_automaton(1), seeded_automaton(2)]
+    for automaton in runs + runs[::-1]:
+        hist = compute_histories(tree, labeling, automaton, 30, table)
+        ref = _reference_histories(tree, labeling, automaton, 30, ref_table)
+        _assert_same_histories(hist, table, ref, ref_table)
+
+
+# sha256 over table.digest(hist[t][v]) for every trial, member, t and v, with
+# seeded_automaton(rng.getrandbits(32)), a fresh table per trial and a random
+# beta-1 labeling per member drawn from rng = Random(delta)
+PINNED_HISTORY_HASHES = {
+    4: "ac92156a911534464251193575b4f93ac59dc1155b89def9528b8aa99fdee270",
+    6: "11e72ea8f01cec0cfba4c87dd56161edb0568d059ffd993d68fb7e8bf4410c9c",
+    8: "48f0cfa1931a31baab2bf58e223ddef348a7facf0d03b855c6a78642e1f72521",
+    12: "654112ad8bab41f79058b38333643bceda471a0db5d81db8980ba5d7f2220634",
+}
+
+
+@pytest.mark.parametrize("delta", sorted(PINNED_HISTORY_HASHES))
+def test_history_digests_are_pinned(delta):
+    rng = random.Random(delta)
+    universe = label_universe(1)
+    h = hashlib.sha256()
+    for _trial in range(3):
+        automaton = seeded_automaton(rng.getrandbits(32))
+        table = HistoryTable()
+        for tree in build_family(delta):
+            labeling = {v: rng.choice(universe) for v in range(tree.n)}
+            hist = compute_histories(tree, labeling, automaton, 150, table)
+            for t in range(151):
+                for v in range(tree.n):
+                    h.update(table.digest(hist[t][v]).encode())
+    assert h.hexdigest() == PINNED_HISTORY_HASHES[delta]
+
+
+def test_scheme_leaves_with_equal_labels_are_indistinguishable():
+    # lemma 1 for the paper's own scheme: its labels are the only thing that
+    # tells two leaves of one center apart
+    pairs = 0
+    for delta in (4, 6, 8, 12, 16):
+        for tree in build_family(delta):
+            res = run_protocol(tree.graph, record_trace=True)
+            assert res.ok
+            labels = res.scheme.encoded
+            for group in (tree.leaves_r, tree.leaves_a):
+                for k, va in enumerate(group):
+                    for vb in group[k + 1:]:
+                        if labels[va] != labels[vb]:
+                            continue
+                        pairs += 1
+                        assert res.nodes[va].events == res.nodes[vb].events
+                        for r, (actions, obs) in res.trace.rounds.items():
+                            assert actions.get(va) == actions.get(vb), (delta, tree.i, r)
+                            assert obs.get(va, SILENCE) == obs.get(vb, SILENCE), (delta, tree.i, r)
+    assert pairs > 0
