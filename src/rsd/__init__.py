@@ -8,72 +8,39 @@ audible.  The package also contains the matching lower-bound machinery:
 history computations over a hard tree family and the exact pattern-counting
 bound.
 """
-from .graphs import Graph, GraphFormatError, LevelDecomposition, decompose, parse_graph
+from .graphs import decompose, parse_graph
 from .history_lab import (
-    FamilyTree,
-    HistoryTable,
-    Pattern,
     build_family,
     check_lemmas,
     compute_histories,
     crossover,
-    label_universe,
     matched_labelings,
     pattern_bound,
-    pattern_bound_second_path,
     pattern_of,
     seeded_automaton,
 )
-from .labels import (
-    Label,
-    LabelFormatError,
-    LabelingScheme,
-    Tag,
-    assign_labels,
-    decode_label,
-    encode_label,
-    format_labels_file,
-    length_bound,
-)
-from .protocol import (
-    MalformedWaveError,
-    ProtocolDesyncError,
-    ProtocolResult,
-    SizeDiscoveryNode,
-    run_protocol,
-    t1_formula,
-    tau_formula,
-    wave_decode,
-    wave_encode,
-)
-from .radio import (
-    COLLISION,
-    NOT_LISTENING,
-    SILENCE,
-    CollisionTagMsg,
-    DeltaLearn,
-    Heard,
-    HopValue,
-    Opaque,
-    SimulationError,
-    SimulationTrace,
-    Stop,
-    WavePulse,
-    WeightReport,
-    resolve_round,
-    run,
-    run_scheduled,
-)
-from .upper_sets import (
-    OraclePlanError,
-    UpperSetPlan,
-    bitlen,
-    collision_tag_map,
-    compute_upper_sets,
-    compute_weights,
-    finalize_weight_tags,
-    weight_tag_map,
-)
+from .labels import assign_labels, decode_label, encode_label, length_bound
+from .protocol import run_protocol
+from .upper_sets import compute_upper_sets, compute_weights
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names the demos import; the CLI, tests and benchmarks import submodules
+__all__ = [
+    "assign_labels",
+    "build_family",
+    "check_lemmas",
+    "compute_histories",
+    "compute_upper_sets",
+    "compute_weights",
+    "crossover",
+    "decode_label",
+    "decompose",
+    "encode_label",
+    "length_bound",
+    "matched_labelings",
+    "parse_graph",
+    "pattern_bound",
+    "pattern_of",
+    "run_protocol",
+    "seeded_automaton",
+]
 __version__ = "0.1.0"

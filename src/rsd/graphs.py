@@ -52,6 +52,8 @@ class Graph:
                 raise GraphFormatError(f"duplicate edge ({e[0]}, {e[1]})")
             seen.add(e)
             norm.append(e)
+        if len(norm) < n - 1:  # too few edges to connect: refuse before allocating per node
+            raise GraphFormatError("graph is not connected")
         norm.sort()
         neighbors = [[] for _ in range(n)]
         for u, v in norm:

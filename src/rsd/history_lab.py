@@ -104,14 +104,6 @@ class HistoryTable:
         hid = self._intern.get(key)
         return hid if hid is not None else self._add(key, f"leaf|{label}")
 
-    def extend(self, prev: int, event: str, sub: Optional[int] = None) -> int:
-        key = (event, prev) if sub is None else (event, prev, sub)
-        hid = self._intern.get(key)
-        if hid is not None:
-            return hid
-        material = f"{event}|{self._digests[prev]}"
-        return self._add(key, material if sub is None else f"{material}|{self._digests[sub]}")
-
     def _add(self, key: tuple, material: str) -> int:
         hid = len(self._digests)
         self._intern[key] = hid
@@ -243,12 +235,6 @@ def pattern_bound(beta: int) -> int:
         raise ValueError("beta must be >= 0")
     z = 2 ** (beta + 1)
     return z * z * 3 ** (2 * z)
-
-
-def pattern_bound_second_path(beta: int) -> int:
-    """Same quantity, evaluated by an independent grouping: (z * 3^z)^2."""
-    z = 2 ** (beta + 1)
-    return (z * 3**z) ** 2
 
 
 def crossover(beta: int, delta: int) -> dict:

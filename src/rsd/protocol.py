@@ -26,16 +26,16 @@ deeper node: root-initiated waves are relayed only by upper-set members
 the 2h-block propagation budget allows.  Without that suppression, the
 final level's echo would collide with the hop relay that follows.
 
-Timed steps (phase, block and final starts, and a member's stop decision
-at each block's last round) are alarms: each fires before the node decides
-its round, once everything it heard in earlier rounds has been delivered.
+The procedures are sequential, so a node waits for one timed step at a time
+(a phase, block or final start, or a member's block-final stop decision) in
+one timer slot; it fires before the node decides its round, once everything
+heard in earlier rounds has been delivered.
 """
 from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .graphs import Graph, LevelDecomposition, decompose
@@ -68,6 +68,7 @@ from .upper_sets import (
 
 _PULSE = WavePulse()
 _STOP = Stop()
+_Handler = Callable[[int, Observation], None]  # a stage's observation handler
 
 MAX_WAVE_BITS = 2 * 64 + 2  # longest wave pattern: values fit in 64 bits
 
@@ -224,17 +225,19 @@ class SizeDiscoveryNode:
         self.tau: Optional[int] = None
 
         self._outbox: Dict[int, Message] = {}
-        self._alarms: List[Tuple[int, str, tuple]] = []
+        self._timer: Optional[Tuple[int, Callable[..., None], tuple]] = None
+        self._on_obs: Optional[_Handler] = None
         self._listener: Optional[WaveListener] = None
         self._on_wave: Optional[Callable[[int, dict], None]] = None
 
         self._delta_bits: Dict[int, int] = {}
+        # a member's block windows: its level fixes the one phase it accounts in
         self._window_clean = True
         self._tags_heard: Dict[int, int] = {}
         self._reports_heard: Dict[int, Dict[int, int]] = {}
 
         if label.has(0):
-            self.stage = "root_collect"
+            self._enter("root_collect", self._obs_root_collect)
             self.level = 0
             self.m = label.l1.id
         else:
@@ -249,18 +252,17 @@ class SizeDiscoveryNode:
         return self.output is not None and not self._outbox
 
     def decide(self, r: int) -> Optional[Message]:
-        self._fire_alarms(r)
+        self._fire(r)
         return self._outbox.pop(r, None)
 
     def observe(self, r: int, obs: Observation) -> None:
-        self._fire_alarms(r)
+        self._fire(r)
         if obs is NOT_LISTENING:
             return
         listener = self._listener
         if listener is None:
-            handler = getattr(self, f"_obs_{self.stage}", None)
-            if handler is not None:
-                handler(r, obs)
+            if self._on_obs is not None:
+                self._on_obs(r, obs)
         elif _is_pulse(obs):
             got = listener.pulse(r)
             if got is not None:
@@ -272,18 +274,18 @@ class SizeDiscoveryNode:
             listener.typed_message(r)
 
     def next_transmit_round(self, r: int) -> Optional[int]:
-        self._fire_alarms(r)
+        self._fire(r)
         nxt = min(self._outbox) if self._outbox else None
-        if self._alarms and (nxt is None or self._alarms[0][0] < nxt):
-            return self._alarms[0][0]
+        if self._timer is not None and (nxt is None or self._timer[0] < nxt):
+            return self._timer[0]
         return nxt
 
     def train(self, r: int) -> List[int]:
         """The outbox rounds from r on that hold round r's message, up to the
-        first other message and before the first alarm: the pulses of the
-        waves in flight."""
+        first other message and before the timer: the pulses of the waves in
+        flight."""
         msg = self._outbox.get(r)
-        end = self._alarms[0][0] if self._alarms else float("inf")
+        end = self._timer[0] if self._timer is not None else float("inf")
         rounds = []
         for q in sorted(self._outbox):
             if q >= end or self._outbox[q] is not msg:
@@ -294,10 +296,10 @@ class SizeDiscoveryNode:
     def reacts_at(self, rounds: List[int], obs: Observation) -> Optional[int]:
         """The first of `rounds` at which hearing `obs` could act: with a
         listener armed, the first pulse that closes an 11 pair; in a stage
-        with an `_obs_*` handler, the first round."""
+        with an observation handler, the first round."""
         listener = self._listener
         if listener is None:
-            return rounds[0] if hasattr(self, f"_obs_{self.stage}") else None
+            return rounds[0] if self._on_obs is not None else None
         if not _is_pulse(obs):
             return rounds[0]
         prev = listener.cands[-1] if listener.cands else None
@@ -327,13 +329,20 @@ class SizeDiscoveryNode:
             if c == "1":
                 self._schedule(start + idx, _PULSE)
 
-    def _alarm(self, r: int, tag: str, *args) -> None:
-        heappush(self._alarms, (r, tag, args))
+    def _arm(self, r: int, step: Callable[..., None], *args) -> None:
+        assert self._timer is None, "a node waits for one timed step at a time"
+        self._timer = (r, step, args)
 
-    def _fire_alarms(self, r: int) -> None:
-        while self._alarms and self._alarms[0][0] <= r:
-            when, tag, args = heappop(self._alarms)
-            getattr(self, f"_on_{tag}")(when, *args)
+    def _fire(self, r: int) -> None:
+        timer = self._timer
+        if timer is not None and timer[0] <= r:
+            self._timer = None  # cleared first: steps re-arm
+            timer[1](timer[0], *timer[2])
+
+    def _enter(self, stage: str, on_obs: Optional[_Handler] = None) -> None:
+        """The one writer of `stage`; `on_obs` is None while idle or awaiting a wave."""
+        self.stage = stage
+        self._on_obs = on_obs
 
     def _desync(self, message: str, r: int) -> None:
         raise ProtocolDesyncError(message, r, self.node_id, self.stage)
@@ -351,7 +360,7 @@ class SizeDiscoveryNode:
     ) -> None:
         """Enter `stage` and listen for one wave: once `validator` accepts it,
         `observe` drops the listener, relays the wave and calls `on_wave`."""
-        self.stage = stage
+        self._enter(stage)
         self._listener = WaveListener(validator)
         self._on_wave = on_wave
 
@@ -446,7 +455,7 @@ class SizeDiscoveryNode:
             self._event("delta", r, value)
             self._event("level", r, 0)
             self._schedule_wave(self.m + 1, self.delta)
-            self.stage = "root_await_hop"
+            self._enter("root_await_hop", self._obs_root_await_hop)
 
     def _obs_root_await_hop(self, r: int, obs: Observation) -> None:
         if isinstance(obs, Heard) and isinstance(obs.message, HopValue):
@@ -454,9 +463,8 @@ class SizeDiscoveryNode:
             expected = depth_report_round(self.delta, x)
             if r != expected:
                 self._desync(f"depth report {x} arrived in round {r}, expected {expected}", r)
-            self._finish_param_learning(r, x)
             self._schedule_wave(r + 1, x)
-            self.stage = "idle_until_phase"
+            self._finish_param_learning(r, x)
 
     # -- parameter learning: the degree wave, the hop relay, the depth wave --
 
@@ -472,7 +480,7 @@ class SizeDiscoveryNode:
             self._schedule(r + 1, HopValue(self.level))
             self.h = self.level
         elif self.label.has(3):
-            self.stage = "await_hop"
+            self._enter("await_hop", self._obs_await_hop)
             return
         self._await("wave_h", self._validate_h_wave, self._got_h)
 
@@ -485,7 +493,6 @@ class SizeDiscoveryNode:
     def _got_h(self, r: int, got: dict) -> None:
         self._event("wave", "h", r, got["value"], self.level)
         self._finish_param_learning(r, got["value"])
-        self.stage = "idle_until_phase"
 
     def _finish_param_learning(self, r: int, h: int) -> None:
         if self.h is not None and self.h != h:
@@ -495,15 +502,13 @@ class SizeDiscoveryNode:
         self._event("h", r, self.h)
         self._event("t1", r, self.t1)
         self.t2 = self.t1
-        self._alarm(self.t1 + 1, "phase_start", 1)
+        self._arm(self.t1 + 1, self._on_phase_start, 1)
+        self._enter("idle_until_phase")
 
     # -- phases --
 
     def _on_phase_start(self, r: int, i: int) -> None:
         self.phase = i
-        self.x_i = None
-        self.t2p = None
-        self.tau = None
         assert self.t2 is not None and r == self.t2 + 1
         # non-members weigh 1: the deepest level from phase 1, level h - i from phase i
         if self.weight is None and not self.label.has(4) and self.level >= self.h - i:
@@ -513,7 +518,7 @@ class SizeDiscoveryNode:
             assert self.weight is not None, "phase initiator without a weight"
             self._set_phase_schedule(self.weight)
             self._schedule_wave(r, self.weight)
-            self.stage = "idle_until_blocks"
+            self._enter("idle_until_blocks")
         else:
             self._await("wave_x", self._validate_x_wave, self._got_x)
 
@@ -522,22 +527,21 @@ class SizeDiscoveryNode:
         self.t2p = self.t2 + 2 * self.h * wave_span(x)
         self.tau = tau_formula(self.delta, x)
         self._event("x", self.phase, x, self.t2p, self.tau)
-        self._alarm(self.t2p + 1, "blocks_start")
+        self._arm(self.t2p + 1, self._on_blocks_start)
 
     def _got_x(self, r: int, got: dict) -> None:
         self._set_phase_schedule(got["value"])
         self._event("wave", "x", r, got["value"], got["distance"], self.phase)
-        self.stage = "idle_until_blocks"
+        self._enter("idle_until_blocks")
 
     def _on_blocks_start(self, r: int) -> None:
         assert self.t2p is not None and r == self.t2p + 1
         if self.level == self.h - self.phase + 1:
-            self.stage = "child_blocks"
+            self._enter("child_blocks", self._obs_child_blocks)
             self._on_child_block(r, 1)
         elif self.level == self.h - self.phase and self.label.has(4):
-            self._reset_member_windows()
-            self._alarm(self.t2p + self.tau, "block_end")
-            self.stage = "member_blocks"
+            self._arm(self.t2p + self.tau, self._on_block_end)
+            self._enter("member_blocks", self._obs_member_blocks)
         else:
             self._await("await_phase_end", self._validate_t_wave, self._got_t)
 
@@ -546,8 +550,6 @@ class SizeDiscoveryNode:
     def _on_child_block(self, r: int, j: int) -> None:
         """Block j: schedule this child's tag and report slots; a tagged child
         repeats them every block until its member stops."""
-        if self.stage != "child_blocks":
-            return  # completed meanwhile; stale alarm
         base = self.t2p + (j - 1) * self.tau
         l2, l3 = self.label.l2, self.label.l3
         if l2.active():
@@ -557,7 +559,7 @@ class SizeDiscoveryNode:
             slot = base + report_slot(self.m, self.weight, l3.id)
             self._schedule(slot, WeightReport(l3, self.weight))
         if l2.active() or l3.active():
-            self._alarm(base + self.tau + 1, "child_block", j + 1)
+            self._arm(base + self.tau + 1, self._on_child_block, j + 1)
 
     def _obs_child_blocks(self, r: int, obs: Observation) -> None:
         off = r - self.t2p
@@ -565,14 +567,10 @@ class SizeDiscoveryNode:
             return  # mid-block traffic belongs to members
         if obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, Stop)):
             self._event("child_complete", self.phase, r)
+            self._timer = None  # no next block
             self._await("await_phase_end", self._validate_t_wave, self._got_t)
 
     # members ----------------------------------------------------------------
-
-    def _reset_member_windows(self) -> None:
-        self._window_clean = True
-        self._tags_heard = {}
-        self._reports_heard = {}
 
     def _obs_member_blocks(self, r: int, obs: Observation) -> None:
         off_total = r - self.t2p
@@ -610,8 +608,10 @@ class SizeDiscoveryNode:
         weight and stop in round r, or retry next block."""
         weight = account_block(self._window_clean, self._tags_heard, self._reports_heard)
         if weight is None:
-            self._reset_member_windows()
-            self._alarm(r + self.tau, "block_end")
+            self._window_clean = True
+            self._tags_heard = {}
+            self._reports_heard = {}
+            self._arm(r + self.tau, self._on_block_end)
             return
         self.weight = weight
         self._event("weight", r, self.weight)
@@ -634,10 +634,10 @@ class SizeDiscoveryNode:
         self.t2 = big_t + 2 * self.h * wave_span(big_t)
         self._event("t2", self.phase + 1, r, self.t2)
         if self.phase < self.h:
-            self._alarm(self.t2 + 1, "phase_start", self.phase + 1)
+            self._arm(self.t2 + 1, self._on_phase_start, self.phase + 1)
         else:
-            self._alarm(self.t2 + 1, "final_start")
-        self.stage = "idle_until_phase"
+            self._arm(self.t2 + 1, self._on_final_start)
+        self._enter("idle_until_phase")
 
     # final ----------------------------------------------------------------------
 
@@ -647,7 +647,7 @@ class SizeDiscoveryNode:
             self.output = self.weight
             self._event("output", r - 1, self.output)
             self._schedule_wave(r, self.output)
-            self.stage = "draining"
+            self._enter("draining")
         else:
             self._await("wave_n", self._validate_n_wave, self._got_n)
 
@@ -655,7 +655,7 @@ class SizeDiscoveryNode:
         self.output = got["value"]
         self._event("output", r, self.output)
         self._event("wave", "n", r, got["value"], self.level)
-        self.stage = "draining"
+        self._enter("draining")
 
 
 # --- orchestration -------------------------------------------------------------

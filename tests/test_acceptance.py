@@ -9,12 +9,7 @@ import pytest
 
 from rsd.generators import path, random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
-from rsd.history_lab import (
-    build_family,
-    check_lemmas,
-    pattern_bound,
-    pattern_bound_second_path,
-)
+from rsd.history_lab import build_family, check_lemmas, pattern_bound
 from rsd.labels import assign_labels, length_bound
 from rsd.protocol import run_protocol, t1_formula, wave_decode, wave_encode
 from rsd.upper_sets import bitlen, compute_upper_sets, compute_weights
@@ -197,6 +192,12 @@ def test_c8_lower_bound_lemmas():
         assert report["violations"] == [], delta
         assert report["trials"] == 50 and report["rounds"] == 200
     print("\nACCEPTANCE 8 PASS: leaf and pattern indistinguishability hold over 50 seeded automata x 4 degrees")
+
+
+def pattern_bound_second_path(beta):
+    """The same quantity as `pattern_bound`, by an independent grouping: (z * 3^z)^2."""
+    z = 2 ** (beta + 1)
+    return (z * 3**z) ** 2
 
 
 def test_c9_counting_arithmetic():

@@ -1,8 +1,11 @@
 """Smoke test of the hooks the benchmark's tracer installs on rsd.
 
 `benchmarks/tracer.py` wraps rsd functions and methods by name and reads
-`WaveListener.cands`; a rename in src/ would break the traced runs.
+`WaveListener.cands`; a rename in src/ would break the traced runs.  The
+benchmark's self-test runs here too.
 """
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +16,8 @@ from rsd.graphs import Graph
 from rsd.history_lab import build_family, check_lemmas
 from rsd.protocol import run_protocol
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from tracer import Tracer, instrument, layer_metrics  # noqa: E402
 
@@ -58,3 +62,15 @@ def test_traced_lemma_checks_count_every_history_step():
     metrics = layer_metrics(tracer)
     assert metrics["history_lab.history_steps"] == 2 * 2 * 10 * sum(t.n for t in build_family(4))
     assert metrics["history_lab.compute_histories_s"] > 0
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks still accept this program's outputs and
+    # still reject each corrupted one
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "benchmarks/selftest.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

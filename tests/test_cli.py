@@ -153,6 +153,13 @@ def test_run_single_node_usage_error(tmp_path):
     assert run_cli("run", str(g)) == 2
 
 
+def test_run_refuses_a_sparse_graph_file(tmp_path, capsys):
+    g = tmp_path / "sparse.g"
+    g.write_text("3000000 0")
+    assert run_cli("run", str(g)) == 2
+    assert capsys.readouterr() == ("", "error: graph is not connected\n")
+
+
 def test_run_malformed_graph(tmp_path, capsys):
     g = tmp_path / "bad.g"
     g.write_text("3 2\n0 1\n1 1\n")

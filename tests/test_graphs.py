@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from test_acceptance import build_corpus
@@ -50,6 +51,24 @@ def test_parse_disconnected():
     with pytest.raises(GraphFormatError) as err:
         parse_graph("4 2\n0 1\n2 3\n")
     assert "not connected" in str(err.value)
+
+
+def test_sparse_graph_refused_before_any_per_node_allocation():
+    # fewer than n - 1 edges cannot connect n nodes: a 10-byte file declaring
+    # 3,000,000 nodes is refused without building its adjacency lists
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match="^graph is not connected$"):
+            parse_graph("3000000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # per-edge errors still come first
+    with pytest.raises(GraphFormatError, match="self-loop"):
+        Graph.from_edges(5, [(2, 2)])
+    with pytest.raises(GraphFormatError, match="line 2: node id out of range"):
+        parse_graph("5 1\n0 9\n")
 
 
 def test_parse_edge_count_mismatch():

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from test_acceptance import pattern_bound_second_path
 
 from rsd.generators import family_member
 from rsd.history_lab import (
@@ -17,7 +18,6 @@ from rsd.history_lab import (
     label_universe,
     matched_labelings,
     pattern_bound,
-    pattern_bound_second_path,
     pattern_of,
     seeded_automaton,
 )
@@ -111,8 +111,9 @@ def test_center_transmit_reaches_leaves():
         )
 
     hist = compute_histories(tree, labeling, center_only, 1, table)
-    expected = table.extend(table.leaf("l"), "sub", center_label)
-    assert hist[1][1] == expected and hist[1][2] == expected
+    material = f"sub|{table.digest(table.leaf('l'))}|{table.digest(center_label)}"
+    expected = hashlib.blake2b(material.encode(), digest_size=16).hexdigest()
+    assert table.digest(hist[1][1]) == expected and table.digest(hist[1][2]) == expected
 
 
 def test_label_universe():

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
+from test_graphs import connected_graphs
 
 from rsd import radio
 from rsd.generators import path, random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
-from rsd.labels import Label, make_markers
+from rsd.labels import Label, Tag, make_markers
 from rsd.protocol import (
     MAX_WAVE_BITS,
     MalformedWaveError,
@@ -17,7 +18,7 @@ from rsd.protocol import (
     wave_encode,
     wave_span,
 )
-from rsd.upper_sets import bitlen, finalize_weight_tags
+from rsd.upper_sets import bitlen, finalize_weight_tags, report_slot
 
 
 # --- the flooding subroutine -------------------------------------------------
@@ -447,6 +448,29 @@ def test_member_stops_match_oracle_completion_blocks(kind, s):
             assert stops == [t2p + blocks[l][v] * tau], (v, l)
 
 
+def test_exhaustive_small_world():
+    # every connected labelled graph on 2 <= n <= 5: every node outputs n and
+    # every member stops at the end of the block the oracle's replay predicts,
+    # so each timer path runs on every small shape
+    graphs = stops = 0
+    for n in range(2, 6):
+        for g in connected_graphs(n):
+            res = run_protocol(g)
+            assert res.ok and set(res.outputs.values()) == {n}, g.edges
+            d, plan = res.decomposition, res.plan
+            _l3, blocks = finalize_weight_tags(g, d, plan, res.oracle_weights)
+            for l in range(d.h):
+                phase = d.h - l
+                for v in plan.us[l]:
+                    events = res.nodes[v].events
+                    (_tag, _i, _x, t2p, tau), = [e for e in events if e[0] == "x" and e[1] == phase]
+                    got = [e[2] for e in events if e[0] == "member_stop" and e[1] == phase]
+                    assert got == [t2p + blocks[l][v] * tau], (g.edges, v, l)
+                    stops += 1
+            graphs += 1
+    assert (graphs, stops) == (771, 1330)
+
+
 # --- the multi-alignment wave listener -----------------------------------------
 
 
@@ -549,6 +573,44 @@ def test_wave_needs_a_quiet_window_before_its_front():
         node = _hand_set_node(h=3, t2=t2)
         node._listener.cands.extend(heard)
         assert (node._validate_x_wave(5, r) is not None) == accepted, heard
+
+
+# --- the timer ------------------------------------------------------------------
+#
+# Phase 1 of a depth-2 tree with m = 3 and x = 3: blocks of tau = 13 rounds
+# from t2' = 200, each ending in the members' stop slot.
+
+
+def _blocks_node(label, level):
+    node = _hand_set_node(label=label, h=2, phase=1, level=level, m=3, x_i=3, t2p=200, tau=13)
+    node._listener = node._on_wave = None  # the x wave was accepted
+    node._on_blocks_start(201)
+    return node
+
+
+def test_completed_child_leaves_no_timer_armed():
+    tag = Tag(2, 1)
+    node = _blocks_node(Label(make_markers(), l2=tag), level=2)
+    assert node.decide(202) == radio.CollisionTagMsg(tag)
+    # while the member has not stopped, the tag repeats from the next block's first round
+    assert node.next_transmit_round(212) == 214
+    node.observe(213, radio.Heard(radio.Stop()))
+    assert node.stage == "await_phase_end"
+    assert node.next_transmit_round(213) is None
+    assert node._timer is None
+
+
+def test_member_without_an_account_retries_one_block_later():
+    node = _blocks_node(Label(make_markers(4)), level=1)
+    assert node.next_transmit_round(201) == 213  # the stop decision, at the block's last round
+    node.observe(202, radio.COLLISION)  # a clash in a tag slot spoils this block's account
+    assert node.next_transmit_round(213) == 213 + 13
+    assert node.decide(213) is None and node.stage == "member_blocks"
+    # block 2 starts from clean windows: one child of weight 1 accounts for weight 2
+    child = Tag(1, 1)
+    node.observe(214, radio.Heard(radio.CollisionTagMsg(child)))
+    node.observe(213 + report_slot(3, 1, 1), radio.Heard(radio.WeightReport(child, 1)))
+    assert node.decide(226) == radio.Stop() and node.weight == 2
 
 
 def test_listener_accepts_clean_wave():
