@@ -6,6 +6,7 @@ reads them.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Tuple
@@ -40,29 +41,7 @@ class Graph:
         """Build and validate a Graph from an edge list."""
         if n < 1:
             raise GraphFormatError(f"node count must be >= 1, got {n}")
-        seen = set()
-        norm = []
-        for u, v in edges:
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise GraphFormatError(f"node id out of range in edge ({u}, {v})")
-            if u == v:
-                raise GraphFormatError(f"self-loop at node {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphFormatError(f"duplicate edge ({e[0]}, {e[1]})")
-            seen.add(e)
-            norm.append(e)
-        if len(norm) < n - 1:  # too few edges to connect: refuse before allocating per node
-            raise GraphFormatError("graph is not connected")
-        norm.sort()
-        neighbors = [[] for _ in range(n)]
-        for u, v in norm:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        g = Graph(n=n, edges=tuple(norm), adj=tuple(tuple(sorted(ns)) for ns in neighbors))
-        if not g.is_connected():
-            raise GraphFormatError("graph is not connected")
-        return g
+        return _build(n, edges, None)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -127,6 +106,36 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
+def _build(n: int, edges: Iterable[Tuple[int, int]], lines: list[int] | None) -> Graph:
+    """The one validation pass over an edge list, then the Graph.
+
+    `lines` holds each edge's line in a graph file, for `parse_graph`; with
+    it, every per-edge error names its line and a duplicate names the line
+    that first held the edge."""
+    seen: dict[tuple[int, int], int | None] = {}  # normalized edge -> its line
+    for (u, v), lineno in zip(edges, itertools.repeat(None) if lines is None else lines):
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise GraphFormatError(f"node id out of range in edge ({u}, {v})", lineno)
+        if u == v:
+            raise GraphFormatError(f"self-loop at node {u}", lineno)
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            first = "" if lineno is None else f", first seen at line {seen[e]}"
+            raise GraphFormatError(f"duplicate edge ({e[0]}, {e[1]}){first}", lineno)
+        seen[e] = lineno
+    if len(seen) < n - 1:  # too few edges to connect: refuse before allocating per node
+        raise GraphFormatError("graph is not connected")
+    norm = sorted(seen)
+    neighbors = [[] for _ in range(n)]
+    for u, v in norm:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    g = Graph(n=n, edges=tuple(norm), adj=tuple(tuple(sorted(ns)) for ns in neighbors))
+    if not g.is_connected():
+        raise GraphFormatError("graph is not connected")
+    return g
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph file format: '# comment' lines, 'n m' header, then m edges.
 
@@ -162,19 +171,7 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(
             f"header declares {m} edges but file contains {len(edges)}", header_line
         )
-    seen: dict[tuple[int, int], int] = {}
-    for (u, v), lineno in zip(edges, edge_lines):
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise GraphFormatError(f"node id out of range in edge ({u}, {v})", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at node {u}", lineno)
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise GraphFormatError(
-                f"duplicate edge ({e[0]}, {e[1]}), first seen at line {seen[e]}", lineno
-            )
-        seen[e] = lineno
-    return Graph.from_edges(n, edges)
+    return _build(n, edges, edge_lines)
 
 
 @dataclass(frozen=True)

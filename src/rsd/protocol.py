@@ -26,6 +26,13 @@ deeper node: root-initiated waves are relayed only by upper-set members
 the 2h-block propagation budget allows.  Without that suppression, the
 final level's echo would collide with the hop relay that follows.
 
+A node keeps the pulses of its waves in flight as one ascending run of
+rounds, next to its typed messages by round.  Only a node that starts a
+wave encodes it (`wave_encode`); a relay repeats the pulse rounds it heard
+from the accepted start, one hop later.  The listener decodes a wave
+arithmetically from its list of pulse rounds; `wave_decode` is the
+reference it agrees with.
+
 The procedures are sequential, so a node waits for one timed step at a time
 (a phase, block or final start, or a member's block-final stop decision) in
 one timer slot; it fires before the node decides its round, once everything
@@ -150,9 +157,11 @@ class WaveListener:
     start of the real wave.  When a pulse closes an 11 pair, the listener
     decodes the pattern from each candidate start, oldest first, that
     follows the last clean typed message, fits MAX_WAVE_BITS and spans
-    whole pairs; malformed patterns are skipped.  The validator gets
-    (value, finish_round) and accepts by returning a context dict; since it
-    checks exact round arithmetic, only the true alignment is accepted.
+    whole pairs; starts whose pattern wave_decode would reject are skipped.
+    The validator gets (value, finish_round) and accepts by returning a
+    context dict, to which the listener adds the value, the round and the
+    start; since it checks exact round arithmetic, only the true alignment
+    is accepted.
     Rounds the node spent transmitting count as silent.  A listener serves
     one wave: `SizeDiscoveryNode.observe` drops it once it has accepted one.
     """
@@ -169,29 +178,36 @@ class WaveListener:
         self.typed = r
 
     def pulse(self, r: int) -> Optional[dict]:
-        """A non-silent round: record it and, if it closes an 11 pair, decode."""
+        """A non-silent round: record it and, if it closes an 11 pair, decode.
+
+        A start s decodes iff r - s is odd, s < r - 1 and every pulse in
+        [s, r - 2] lies an even number of rounds after s (pair s + 2j then
+        carries bit j of the value, most significant first).  So the starts
+        that decode are the pulses from the window's first round to r - 3
+        that come after the last pulse of r's parity, and the value from s
+        sums 2^((r - 1 - c)/2 - 1) over the pulses c in [s, r - 2]."""
         cands = self.cands
         cands.append(r)
-        if len(cands) < 2 or cands[-2] != r - 1:
+        last = len(cands) - 2
+        if last < 0 or cands[last] != r - 1:
             return None
         lo = max(self.typed + 1, r - MAX_WAVE_BITS + 1)
-        starts = cands[bisect_left(cands, lo) :]
-        bits = ["0"] * (r - lo + 1)
-        for q in starts:
-            bits[q - lo] = "1"
-        window = "".join(bits)
-        for s in starts:
-            if (r - s) % 2 == 0:
-                continue
-            try:
-                value = wave_decode(window[s - lo :])
-            except MalformedWaveError:
-                continue
+        first = last
+        value = 0
+        while first > 0:
+            c = cands[first - 1]
+            if c < lo or (r - c) % 2 == 0:
+                break
+            first -= 1
+            value += 1 << ((r - 1 - c) // 2 - 1)
+        for i in range(first, last):  # oldest start first
             got = self.validator(value, r)
             if got is not None:
                 got["value"] = value
                 got["round"] = r
+                got["start"] = cands[i]
                 return got
+            value -= 1 << ((r - 1 - cands[i]) // 2 - 1)
         return None
 
 
@@ -224,7 +240,9 @@ class SizeDiscoveryNode:
         self.t2p: Optional[int] = None
         self.tau: Optional[int] = None
 
-        self._outbox: Dict[int, Message] = {}
+        self._outbox: Dict[int, Message] = {}  # typed messages by round
+        self._pulses: Optional[List[int]] = None  # pulse rounds of the waves in flight, ascending
+        self._head = 0  # index of the first pending pulse in _pulses
         self._timer: Optional[Tuple[int, Callable[..., None], tuple]] = None
         self._on_obs: Optional[_Handler] = None
         self._listener: Optional[WaveListener] = None
@@ -249,10 +267,16 @@ class SizeDiscoveryNode:
 
     @property
     def done(self) -> bool:
-        return self.output is not None and not self._outbox
+        return self.output is not None and not self._outbox and self._pulses is None
 
     def decide(self, r: int) -> Optional[Message]:
         self._fire(r)
+        pulses = self._pulses
+        if pulses is not None and pulses[self._head] == r:
+            self._head += 1
+            if self._head == len(pulses):  # the last pulse: drop the run
+                self._pulses, self._head = None, 0
+            return _PULSE
         return self._outbox.pop(r, None)
 
     def observe(self, r: int, obs: Observation) -> None:
@@ -268,30 +292,28 @@ class SizeDiscoveryNode:
             if got is not None:
                 on_wave = self._on_wave
                 self._listener = self._on_wave = None
-                self._relay(r, got)
+                self._relay(r, got, listener.cands)
                 on_wave(r, got)
         elif isinstance(obs, Heard):
             listener.typed_message(r)
 
     def next_transmit_round(self, r: int) -> Optional[int]:
         self._fire(r)
-        nxt = min(self._outbox) if self._outbox else None
-        if self._timer is not None and (nxt is None or self._timer[0] < nxt):
-            return self._timer[0]
+        nxt = self._typed_or_timer()
+        pulses = self._pulses
+        if pulses is not None and (nxt is None or pulses[self._head] < nxt):
+            return pulses[self._head]
         return nxt
 
     def train(self, r: int) -> List[int]:
-        """The outbox rounds from r on that hold round r's message, up to the
-        first other message and before the timer: the pulses of the waves in
-        flight."""
-        msg = self._outbox.get(r)
-        end = self._timer[0] if self._timer is not None else float("inf")
-        rounds = []
-        for q in sorted(self._outbox):
-            if q >= end or self._outbox[q] is not msg:
-                break
-            rounds.append(q)
-        return rounds
+        """The pending pulse rounds from r on, up to the first typed message
+        and before the timer, when r is a pulse round: the pulses of the
+        waves in flight.  A typed message at r is a train of one round."""
+        pulses = self._pulses
+        if pulses is None or pulses[self._head] != r:
+            return [r] if r in self._outbox else []
+        end = self._typed_or_timer()
+        return pulses[self._head : len(pulses) if end is None else bisect_left(pulses, end, self._head)]
 
     def reacts_at(self, rounds: List[int], obs: Observation) -> Optional[int]:
         """The first of `rounds` at which hearing `obs` could act: with a
@@ -317,17 +339,48 @@ class SizeDiscoveryNode:
 
     # -- internal plumbing --
 
+    def _typed_or_timer(self) -> Optional[int]:
+        """The first round of a typed message or of the timer; None if neither."""
+        nxt = min(self._outbox) if self._outbox else None
+        if self._timer is not None and (nxt is None or self._timer[0] < nxt):
+            return self._timer[0]
+        return nxt
+
     def _schedule(self, r: int, msg: Message) -> None:
+        """Queue a typed message for round r."""
+        pulses = self._pulses
+        if pulses is not None:
+            i = bisect_left(pulses, r, self._head)
+            if i < len(pulses) and pulses[i] == r:
+                self._clash(r)
         if r in self._outbox:
-            raise ProtocolDesyncError(
-                f"transmission already scheduled for round {r}", r, self.node_id, self.stage
-            )
+            self._clash(r)
         self._outbox[r] = msg
 
-    def _schedule_wave(self, start: int, value: int) -> None:
-        for idx, c in enumerate(wave_encode(value)):
-            if c == "1":
-                self._schedule(start + idx, _PULSE)
+    def _start_wave(self, start: int, value: int) -> None:
+        """Send a wave of `value` whose first pulse is in round `start`."""
+        self._send_pulses([start + i for i, c in enumerate(wave_encode(value)) if c == "1"])
+
+    def _send_pulses(self, rounds: List[int]) -> None:
+        """Queue a wave's pulse rounds (ascending, a list the node may keep)
+        into the one run of pending pulses."""
+        pulses = self._pulses
+        overlap = pulses is not None and rounds[0] <= pulses[-1]
+        if self._outbox or overlap:
+            taken = set(self._outbox)
+            if overlap:
+                taken.update(pulses[self._head :])
+            clash = taken.intersection(rounds)
+            if clash:
+                self._clash(min(clash))  # the first clashing round in pulse order
+        if pulses is not None:
+            rounds = pulses[self._head :] + rounds
+            if overlap:
+                rounds.sort()
+        self._pulses, self._head = rounds, 0
+
+    def _clash(self, r: int) -> None:
+        self._desync(f"transmission already scheduled for round {r}", r)
 
     def _arm(self, r: int, step: Callable[..., None], *args) -> None:
         assert self._timer is None, "a node waits for one timed step at a time"
@@ -364,13 +417,17 @@ class SizeDiscoveryNode:
         self._listener = WaveListener(validator)
         self._on_wave = on_wave
 
-    def _relay(self, r: int, got: dict) -> None:
+    def _relay(self, r: int, got: dict, heard: List[int]) -> None:
         """The one relay rule: a root-initiated wave (no distance) goes on from
         upper-set members, whose neighborhoods cover the next level; a
-        mid-phase wave goes on while the 2h-hop budget lasts."""
+        mid-phase wave goes on while the 2h-hop budget lasts.  The relay
+        repeats the pulses `heard` from the wave's start, one hop later: the
+        start is a pulse, so they spell exactly wave_encode(value)."""
         d = got.get("distance")
         if (self.label.has(4) if d is None else d < 2 * self.h):
-            self._schedule_wave(r + 1, got["value"])
+            start = got["start"]
+            shift = r + 1 - start
+            self._send_pulses([c + shift for c in heard[bisect_left(heard, start) :]])
 
     # -- wave validators --
     #
@@ -454,7 +511,7 @@ class SizeDiscoveryNode:
             self.delta = value
             self._event("delta", r, value)
             self._event("level", r, 0)
-            self._schedule_wave(self.m + 1, self.delta)
+            self._start_wave(self.m + 1, self.delta)
             self._enter("root_await_hop", self._obs_root_await_hop)
 
     def _obs_root_await_hop(self, r: int, obs: Observation) -> None:
@@ -463,7 +520,7 @@ class SizeDiscoveryNode:
             expected = depth_report_round(self.delta, x)
             if r != expected:
                 self._desync(f"depth report {x} arrived in round {r}, expected {expected}", r)
-            self._schedule_wave(r + 1, x)
+            self._start_wave(r + 1, x)
             self._finish_param_learning(r, x)
 
     # -- parameter learning: the degree wave, the hop relay, the depth wave --
@@ -517,7 +574,7 @@ class SizeDiscoveryNode:
         if self.label.has(6) and self.level == self.h - i + 1:
             assert self.weight is not None, "phase initiator without a weight"
             self._set_phase_schedule(self.weight)
-            self._schedule_wave(r, self.weight)
+            self._start_wave(r, self.weight)
             self._enter("idle_until_blocks")
         else:
             self._await("wave_x", self._validate_x_wave, self._got_x)
@@ -619,7 +676,7 @@ class SizeDiscoveryNode:
         self._schedule(r, _STOP)
         if self.label.has(5):
             self._event("T", self.phase, r, r)
-            self._schedule_wave(r + 1, r)
+            self._start_wave(r + 1, r)
             self._finish_phase(r, r)
         else:
             self._await("await_phase_end", self._validate_t_wave, self._got_t)
@@ -646,7 +703,7 @@ class SizeDiscoveryNode:
             assert self.weight is not None, "root finished phases without a weight"
             self.output = self.weight
             self._event("output", r - 1, self.output)
-            self._schedule_wave(r, self.output)
+            self._start_wave(r, self.output)
             self._enter("draining")
         else:
             self._await("wave_n", self._validate_n_wave, self._got_n)

@@ -71,6 +71,29 @@ def test_sparse_graph_refused_before_any_per_node_allocation():
         parse_graph("5 1\n0 9\n")
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ("0 1\n1 5\n", "node id out of range in edge (1, 5)"),
+        ("0 1\n2 2\n", "self-loop at node 2"),
+        ("0 1\n2 1\n1 0\n", "duplicate edge (0, 1)"),
+    ],
+    ids=["range", "self-loop", "duplicate"],
+)
+def test_edge_errors_read_the_same_from_a_file_and_an_edge_list(edges, message):
+    # a graph file's error adds the line, and a duplicate the line that first held the edge
+    pairs = [tuple(map(int, line.split())) for line in edges.splitlines()]
+    with pytest.raises(GraphFormatError) as err:
+        Graph.from_edges(3, pairs)
+    assert str(err.value) == message and err.value.line is None
+    bad = len(pairs) + 1  # the header is line 1
+    text = f"3 {len(pairs)}\n{edges}"
+    first = ", first seen at line 2" if message.startswith("duplicate") else ""
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert str(err.value) == f"line {bad}: {message}{first}" and err.value.line == bad
+
+
 def test_parse_edge_count_mismatch():
     with pytest.raises(GraphFormatError):
         parse_graph("3 2\n0 1\n")

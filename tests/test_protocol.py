@@ -1,5 +1,7 @@
+from bisect import bisect_left
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from test_graphs import connected_graphs
 
 from rsd import radio
@@ -9,7 +11,9 @@ from rsd.labels import Label, Tag, make_markers
 from rsd.protocol import (
     MAX_WAVE_BITS,
     MalformedWaveError,
+    ProtocolDesyncError,
     SizeDiscoveryNode,
+    WaveListener,
     depth_report_round,
     run_protocol,
     t1_formula,
@@ -690,6 +694,179 @@ def test_listener_decodes_largest_wave_value():
     hits = _drive_listener(listener, schedule, start, finish)
     assert len(pattern) == MAX_WAVE_BITS
     assert len(hits) == 1 and hits[0]["value"] == value
+
+
+class StringWindowListener(WaveListener):
+    """The string-window decoder the arithmetic listener replaced, kept as
+    the reference: for every 11 pair it spells the window as a 0/1 string
+    and runs wave_decode from each candidate start, oldest first."""
+
+    def pulse(self, r):
+        cands = self.cands
+        cands.append(r)
+        if len(cands) < 2 or cands[-2] != r - 1:
+            return None
+        lo = max(self.typed + 1, r - MAX_WAVE_BITS + 1)
+        starts = cands[bisect_left(cands, lo) :]
+        bits = ["0"] * (r - lo + 1)
+        for q in starts:
+            bits[q - lo] = "1"
+        window = "".join(bits)
+        for s in starts:
+            if (r - s) % 2 == 0:
+                continue
+            try:
+                value = wave_decode(window[s - lo :])
+            except MalformedWaveError:
+                continue
+            got = self.validator(value, r)
+            if got is not None:
+                got["value"] = value
+                got["round"] = r
+                return got
+        return None
+
+
+@st.composite
+def listener_schedules(draw):
+    """Rounds -> 'pulse' | 'typed' (others silent): planted waves, some
+    overlapping, among noise and silences longer than MAX_WAVE_BITS."""
+    schedule, r = {}, 1
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["wave", "noise", "silence"]))
+        if kind == "wave":
+            value = draw(st.one_of(st.integers(1, 300), st.integers(1, 2**64 - 1), st.just(2**64 - 1)))
+            pattern = wave_encode(value)
+            schedule.update({r + i: "pulse" for i, c in enumerate(pattern) if c == "1"})
+            r += len(pattern) + draw(st.integers(-3, 3))
+        elif kind == "noise":
+            for _ in range(draw(st.integers(1, 24))):
+                sound = draw(st.sampled_from(["pulse", "pulse", "typed", None]))
+                if sound is not None:
+                    schedule[r] = sound
+                r += 1
+        else:
+            r += draw(st.integers(1, 2 * MAX_WAVE_BITS))
+    return schedule
+
+
+def _offers(listener_cls, schedule, accept):
+    """Every (value, round) offered to the validator, and the first acceptance."""
+    offered = []
+
+    def validator(value, r):
+        offered.append((value, r))
+        return {} if accept(value, r) else None
+
+    listener = listener_cls(validator)
+    first = None
+    for r in sorted(schedule):
+        if schedule[r] == "typed":
+            listener.typed_message(r)
+        elif first is None:
+            got = listener.pulse(r)
+            if got is not None:
+                first = (got["value"], got["round"])
+    return offered, first
+
+
+# a lone pulse, a silence longer than MAX_WAVE_BITS, then 2**64 - 1
+_LONGEST = {1: "pulse", **{400 + i: "pulse" for i, c in enumerate(wave_encode(2**64 - 1)) if c == "1"}}
+
+
+@given(listener_schedules(), st.integers(2, 7))
+@example(_LONGEST, 2)
+def test_arithmetic_listener_offers_what_the_string_decoder_offers(schedule, modulus):
+    # the same (value, round) sequence reaches the validator, and the same
+    # wave is accepted first, as with the string window and wave_decode
+    never = lambda value, r: False  # noqa: E731
+    assert _offers(WaveListener, schedule, never) == _offers(StringWindowListener, schedule, never)
+    picky = lambda value, r: (value + r) % modulus == 0  # noqa: E731
+    assert _offers(WaveListener, schedule, picky) == _offers(StringWindowListener, schedule, picky)
+
+
+# --- the outbox: typed messages by round, pulses as one ascending run -----------
+
+
+def _pulse_rounds(start, value):
+    return [start + i for i, c in enumerate(wave_encode(value)) if c == "1"]
+
+
+def _clash_round(schedule):
+    """The round named by the clash that `schedule(node)` raises."""
+    node = _hand_set_node()
+    with pytest.raises(ProtocolDesyncError, match=r"transmission already scheduled for round (\d+)") as err:
+        schedule(node)
+    assert str(err.value).startswith(f"round {err.value.round_no}, node -1: [wave_delta] ")
+    return err.value.round_no
+
+
+def test_wave_over_wave_clashes_at_the_first_shared_pulse():
+    # 5 pulses at 100, 104, 106, 107; 1 from 102 at 102, 104, 105; 13 from
+    # 97 at 97, 99, 103, 105, 106
+    assert _clash_round(lambda n: (n._start_wave(100, 5), n._start_wave(102, 1))) == 104
+    assert _clash_round(lambda n: (n._start_wave(100, 5), n._start_wave(97, 13))) == 106
+    # the common case: a wave that starts after every pending pulse
+    node = _hand_set_node()
+    node._start_wave(100, 5)
+    node._start_wave(108, 1)
+    assert [q for q in range(95, 120) if node.decide(q) is not None] == (
+        _pulse_rounds(100, 5) + _pulse_rounds(108, 1)
+    )
+
+
+def test_wave_over_typed_and_typed_over_pulse_clash_at_the_taken_round():
+    # a typed message at 106 and 104: the wave clashes at the first in pulse order
+    def wave_over_typed(node):
+        node._schedule(106, radio.Stop())
+        node._schedule(104, radio.HopValue(3))
+        node._start_wave(100, 5)
+
+    assert _clash_round(wave_over_typed) == 104
+    assert _clash_round(lambda n: (n._start_wave(100, 5), n._schedule(107, radio.Stop()))) == 107
+
+
+def test_typed_message_between_pulses_ends_the_train():
+    node = _hand_set_node()
+    node._start_wave(100, 5)
+    node._start_wave(110, 1)
+    node._schedule(108, radio.Stop())
+    assert node.next_transmit_round(100) == 100
+    assert node.train(100) == [100, 104, 106, 107]
+    assert [node.decide(q) for q in (100, 104, 106, 107)] == [radio.WavePulse()] * 4
+    assert node.next_transmit_round(108) == 108 and node.train(108) == [108]
+    assert node.decide(108) == radio.Stop()
+    assert node.train(110) == _pulse_rounds(110, 1)
+
+
+def test_node_is_not_done_while_a_pulse_is_pending_and_keeps_no_spent_run():
+    node = _hand_set_node(output=7)
+    node._start_wave(50, 6)
+    rounds = _pulse_rounds(50, 6)
+    for q in rounds:
+        assert not node.done
+        assert node.next_transmit_round(q) == q
+        assert node.decide(q) == radio.WavePulse()
+    assert node.done and node.next_transmit_round(rounds[-1] + 1) is None
+    assert node._pulses is None
+
+
+@pytest.mark.parametrize("value", [1, 13, 2**64 - 1])
+def test_relay_repeats_the_heard_pulses_one_hop_later(value):
+    # an x wave from the phase initiator (sent in rounds t2 + 1 on) ends its
+    # first hop at r = t2 + span; a noise pulse before it is no part of the relay
+    t2, span = 100, wave_span(value)
+    node = _hand_set_node(h=3, t2=t2, delta=4, m=3, phase=1)
+    node._await("wave_x", node._validate_x_wave, node._got_x)
+    node.observe(t2 - 1, radio.COLLISION)
+    for q in _pulse_rounds(t2 + 1, value):
+        node.observe(q, radio.Heard(radio.WavePulse()))
+    r = t2 + span
+    assert node.x_i == value and node.stage == "idle_until_blocks"
+    expected = _pulse_rounds(r + 1, value)
+    assert node.next_transmit_round(r + 1) == r + 1 and node.train(r + 1) == expected
+    assert [q for q in range(r + 1, r + 2 + span) if node.decide(q) is not None] == expected
+    assert node._pulses is None
 
 
 def test_protocol_trace_model_soundness():
