@@ -31,8 +31,12 @@ def _write(path: Optional[str], content: str) -> None:
 
 
 def _read_graph(path: str) -> Graph:
+    """The graph file of `oracle`, `label` and `run`: the root needs a neighbor."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        g = parse_graph(fh.read())
+    if g.n < 2:
+        raise ValueError(f"the graph needs n >= 2 nodes so the root has a neighbor, got n = {g.n}")
+    return g
 
 
 def _stable_json(obj) -> str:
@@ -81,9 +85,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_label(args) -> int:
     g = _read_graph(args.graph)
-    if g.n < 2:
-        print("labeling requires n >= 2", file=sys.stderr)
-        return 2
     d = decompose(g)
     plan = compute_upper_sets(g, d)
     weights = compute_weights(plan, d)
@@ -99,9 +100,6 @@ def cmd_label(args) -> int:
 
 def cmd_run(args) -> int:
     g = _read_graph(args.graph)
-    if g.n < 2:
-        print("size discovery requires n >= 2", file=sys.stderr)
-        return 2
     result = run_protocol(g, record_trace=bool(args.trace))
     if args.trace:
         _write(args.trace, result.trace.format_text())

@@ -51,6 +51,8 @@ def random_connected_graph(
     """Random spanning tree plus extra random edges under the degree cap."""
     if extra_edges is None:
         extra_edges = n // 3
+    elif extra_edges < 0:
+        raise ValueError(f"extra edges must be >= 0, got {extra_edges}")
     rng = random.Random(seed)
     base = random_tree(n, delta_cap, rng.randrange(2**32))
     degree = [base.degree(v) for v in range(n)]

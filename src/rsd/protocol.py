@@ -26,12 +26,16 @@ deeper node: root-initiated waves are relayed only by upper-set members
 the 2h-block propagation budget allows.  Without that suppression, the
 final level's echo would collide with the hop relay that follows.
 
-A node keeps the pulses of its waves in flight as one ascending run of
-rounds, next to its typed messages by round.  Only a node that starts a
-wave encodes it (`wave_encode`); a relay repeats the pulse rounds it heard
-from the accepted start, one hop later.  The listener decodes a wave
-arithmetically from its list of pulse rounds; `wave_decode` is the
-reference it agrees with.
+A node sends one wave at a time, kept as the ascending list of its pulse
+rounds next to its typed messages by round.  Its sends never overlap: an x
+or T relay ends by t2' or the next t2, and a root wave ends before the
+value it leads to is sent.  So a second wave in flight, a typed message
+while one is in flight, or a wave at or before a queued typed message
+comes only from a forged alignment and is a desync.
+Only a node that starts a wave encodes it (`wave_encode`); a relay repeats
+the pulse rounds it heard from the accepted start, one hop later.  The
+listener decodes a wave arithmetically from its list of pulse rounds;
+`wave_decode` is the reference it agrees with.
 
 The procedures are sequential, so a node waits for one timed step at a time
 (a phase, block or final start, or a member's block-final stop decision) in
@@ -241,7 +245,7 @@ class SizeDiscoveryNode:
         self.tau: Optional[int] = None
 
         self._outbox: Dict[int, Message] = {}  # typed messages by round
-        self._pulses: Optional[List[int]] = None  # pulse rounds of the waves in flight, ascending
+        self._pulses: Optional[List[int]] = None  # pulse rounds of the one wave in flight, ascending
         self._head = 0  # index of the first pending pulse in _pulses
         self._timer: Optional[Tuple[int, Callable[..., None], tuple]] = None
         self._on_obs: Optional[_Handler] = None
@@ -299,21 +303,25 @@ class SizeDiscoveryNode:
 
     def next_transmit_round(self, r: int) -> Optional[int]:
         self._fire(r)
-        nxt = self._typed_or_timer()
+        nxt = min(self._outbox) if self._outbox else None
+        if self._timer is not None and (nxt is None or self._timer[0] < nxt):
+            nxt = self._timer[0]
         pulses = self._pulses
         if pulses is not None and (nxt is None or pulses[self._head] < nxt):
             return pulses[self._head]
         return nxt
 
     def train(self, r: int) -> List[int]:
-        """The pending pulse rounds from r on, up to the first typed message
-        and before the timer, when r is a pulse round: the pulses of the
-        waves in flight.  A typed message at r is a train of one round."""
+        """The pending pulse rounds of the wave in flight from r on, before
+        the timer, when r is a pulse round.  No typed message lies inside a
+        wave, so only the timer cuts it.  A typed message at r is a train of
+        one round."""
         pulses = self._pulses
         if pulses is None or pulses[self._head] != r:
             return [r] if r in self._outbox else []
-        end = self._typed_or_timer()
-        return pulses[self._head : len(pulses) if end is None else bisect_left(pulses, end, self._head)]
+        if self._timer is None:
+            return pulses[self._head :]
+        return pulses[self._head : bisect_left(pulses, self._timer[0], self._head)]
 
     def reacts_at(self, rounds: List[int], obs: Observation) -> Optional[int]:
         """The first of `rounds` at which hearing `obs` could act: with a
@@ -339,22 +347,12 @@ class SizeDiscoveryNode:
 
     # -- internal plumbing --
 
-    def _typed_or_timer(self) -> Optional[int]:
-        """The first round of a typed message or of the timer; None if neither."""
-        nxt = min(self._outbox) if self._outbox else None
-        if self._timer is not None and (nxt is None or self._timer[0] < nxt):
-            return self._timer[0]
-        return nxt
-
     def _schedule(self, r: int, msg: Message) -> None:
-        """Queue a typed message for round r."""
-        pulses = self._pulses
-        if pulses is not None:
-            i = bisect_left(pulses, r, self._head)
-            if i < len(pulses) and pulses[i] == r:
-                self._clash(r)
+        """Queue a typed message for round r, outside any wave."""
+        if self._pulses is not None:
+            self._desync(f"typed message for round {r} while a wave is in flight", r)
         if r in self._outbox:
-            self._clash(r)
+            self._desync(f"transmission already scheduled for round {r}", r)
         self._outbox[r] = msg
 
     def _start_wave(self, start: int, value: int) -> None:
@@ -362,25 +360,18 @@ class SizeDiscoveryNode:
         self._send_pulses([start + i for i, c in enumerate(wave_encode(value)) if c == "1"])
 
     def _send_pulses(self, rounds: List[int]) -> None:
-        """Queue a wave's pulse rounds (ascending, a list the node may keep)
-        into the one run of pending pulses."""
-        pulses = self._pulses
-        overlap = pulses is not None and rounds[0] <= pulses[-1]
-        if self._outbox or overlap:
-            taken = set(self._outbox)
-            if overlap:
-                taken.update(pulses[self._head :])
-            clash = taken.intersection(rounds)
-            if clash:
-                self._clash(min(clash))  # the first clashing round in pulse order
-        if pulses is not None:
-            rounds = pulses[self._head :] + rounds
-            if overlap:
-                rounds.sort()
+        """Send a wave whose pulse rounds are `rounds` (ascending, a list the
+        node may keep).  The relays and root waves of the procedures never
+        overlap a node's other sends (see the module docstring), so a second
+        wave in flight, or a typed message queued at or after the wave's
+        first round, is a desync."""
+        start = rounds[0]
+        if self._pulses is not None:
+            self._desync(f"wave from round {start} while a wave is in flight", start)
+        last = max(self._outbox, default=0)
+        if last >= start:
+            self._desync(f"wave from round {start} at or before the typed message in round {last}", start)
         self._pulses, self._head = rounds, 0
-
-    def _clash(self, r: int) -> None:
-        self._desync(f"transmission already scheduled for round {r}", r)
 
     def _arm(self, r: int, step: Callable[..., None], *args) -> None:
         assert self._timer is None, "a node waits for one timed step at a time"

@@ -153,6 +153,24 @@ def test_run_single_node_usage_error(tmp_path):
     assert run_cli("run", str(g)) == 2
 
 
+@pytest.mark.parametrize("command", ["oracle", "label", "run"])
+def test_single_node_graph_is_refused_on_one_line(tmp_path, capsys, command):
+    g = tmp_path / "one.g"
+    g.write_text("1 0\n")
+    assert run_cli(command, str(g)) == 2
+    assert capsys.readouterr() == (
+        "", "error: the graph needs n >= 2 nodes so the root has a neighbor, got n = 1\n"
+    )
+
+
+def test_gen_refuses_negative_extra_edges(capsys):
+    args = ("gen", "--kind", "graph", "--n", "10", "--delta", "4", "--extra")
+    assert run_cli(*args, "-3") == 2
+    assert capsys.readouterr() == ("", "error: extra edges must be >= 0, got -3\n")
+    assert run_cli(*args, "0") == 0
+    assert capsys.readouterr().out.startswith("10 9\n")
+
+
 def test_run_refuses_a_sparse_graph_file(tmp_path, capsys):
     g = tmp_path / "sparse.g"
     g.write_text("3000000 0")

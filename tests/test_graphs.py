@@ -184,6 +184,13 @@ def test_graph_generator_respects_cap():
         assert len(g.edges) >= 39
 
 
+def test_graph_generator_refuses_negative_extra_edges():
+    assert len(random_connected_graph(10, 4, 0, extra_edges=0).edges) == 9  # the spanning tree
+    assert len(random_connected_graph(10, 4, 0).edges) > 9
+    with pytest.raises(ValueError, match="extra edges must be >= 0, got -3"):
+        random_connected_graph(10, 4, 0, extra_edges=-3)
+
+
 def test_diameter_path():
     g = parse_graph("5 4\n0 1\n1 2\n2 3\n3 4\n")
     assert g.diameter() == 4

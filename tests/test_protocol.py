@@ -785,58 +785,96 @@ def test_arithmetic_listener_offers_what_the_string_decoder_offers(schedule, mod
     assert _offers(WaveListener, schedule, picky) == _offers(StringWindowListener, schedule, picky)
 
 
-# --- the outbox: typed messages by round, pulses as one ascending run -----------
+# --- the outbox: typed messages by round, one wave in flight -------------------
 
 
 def _pulse_rounds(start, value):
     return [start + i for i, c in enumerate(wave_encode(value)) if c == "1"]
 
 
-def _clash_round(schedule):
-    """The round named by the clash that `schedule(node)` raises."""
+def _desync(schedule):
+    """The round and message of the desync that `schedule(node)` raises."""
     node = _hand_set_node()
-    with pytest.raises(ProtocolDesyncError, match=r"transmission already scheduled for round (\d+)") as err:
+    with pytest.raises(ProtocolDesyncError) as err:
         schedule(node)
-    assert str(err.value).startswith(f"round {err.value.round_no}, node -1: [wave_delta] ")
-    return err.value.round_no
+    assert err.value.stage == "wave_delta" and err.value.node == -1
+    prefix = f"round {err.value.round_no}, node -1: [wave_delta] "
+    assert str(err.value).startswith(prefix)
+    return err.value.round_no, str(err.value)[len(prefix) :]
 
 
-def test_wave_over_wave_clashes_at_the_first_shared_pulse():
-    # 5 pulses at 100, 104, 106, 107; 1 from 102 at 102, 104, 105; 13 from
-    # 97 at 97, 99, 103, 105, 106
-    assert _clash_round(lambda n: (n._start_wave(100, 5), n._start_wave(102, 1))) == 104
-    assert _clash_round(lambda n: (n._start_wave(100, 5), n._start_wave(97, 13))) == 106
-    # the common case: a wave that starts after every pending pulse
+def test_a_second_wave_in_flight_is_a_desync():
+    # 5 from 100 pulses at 100, 104, 106, 107; a second wave clashes (1 from
+    # 102: 102, 104, 105), interleaves (4 from 102: 102, 108, 109) or starts
+    # after it (1 from 108), before or after the first pulse is sent
+    for start, value in ((102, 1), (102, 4), (108, 1)):
+        for sent in (0, 1):
+            def second_wave(node):
+                node._start_wave(100, 5)
+                for q in _pulse_rounds(100, 5)[:sent]:
+                    assert node.decide(q) == radio.WavePulse()
+                node._start_wave(start, value)
+
+            assert _desync(second_wave) == (start, f"wave from round {start} while a wave is in flight")
+    # once the last pulse is sent, the next wave goes out
     node = _hand_set_node()
     node._start_wave(100, 5)
+    assert [q for q in range(95, 108) if node.decide(q) is not None] == _pulse_rounds(100, 5)
     node._start_wave(108, 1)
-    assert [q for q in range(95, 120) if node.decide(q) is not None] == (
-        _pulse_rounds(100, 5) + _pulse_rounds(108, 1)
-    )
+    assert node.train(108) == _pulse_rounds(108, 1)
 
 
-def test_wave_over_typed_and_typed_over_pulse_clash_at_the_taken_round():
-    # a typed message at 106 and 104: the wave clashes at the first in pulse order
-    def wave_over_typed(node):
-        node._schedule(106, radio.Stop())
+def test_a_typed_message_while_a_wave_is_in_flight_is_a_desync():
+    # before, between, on and after the pulses of 5 from 100
+    for r in (99, 102, 107, 120):
+        def typed_in_flight(node):
+            node._start_wave(100, 5)
+            node._schedule(r, radio.Stop())
+
+        assert _desync(typed_in_flight) == (r, f"typed message for round {r} while a wave is in flight")
+
+
+def test_a_wave_at_or_before_a_queued_typed_message_is_a_desync():
+    for start in (100, 106):
+        def wave_over_typed(node):
+            node._schedule(104, radio.HopValue(3))
+            node._schedule(106, radio.Stop())
+            node._start_wave(start, 5)
+
+        assert _desync(wave_over_typed) == (
+            start, f"wave from round {start} at or before the typed message in round 106"
+        )
+
+
+def test_a_stop_then_a_wave_from_the_next_round_is_sent_in_order():
+    # the phase-end member stops at r and floods T from r + 1
+    node = _hand_set_node()
+    node._schedule(99, radio.Stop())
+    node._start_wave(100, 5)
+    assert node.next_transmit_round(98) == 99 and node.train(99) == [99]
+    assert node.decide(99) == radio.Stop()
+    assert node.next_transmit_round(99) == 100 and node.train(100) == _pulse_rounds(100, 5)
+    assert [node.decide(q) for q in _pulse_rounds(100, 5)] == [radio.WavePulse()] * 4
+    assert node._pulses is None and not node._outbox
+
+
+def test_typed_over_typed_clashes_at_the_taken_round():
+    def typed_over_typed(node):
+        node._schedule(104, radio.Stop())
         node._schedule(104, radio.HopValue(3))
-        node._start_wave(100, 5)
 
-    assert _clash_round(wave_over_typed) == 104
-    assert _clash_round(lambda n: (n._start_wave(100, 5), n._schedule(107, radio.Stop()))) == 107
+    assert _desync(typed_over_typed) == (104, "transmission already scheduled for round 104")
 
 
-def test_typed_message_between_pulses_ends_the_train():
+def test_the_timer_cuts_the_train():
     node = _hand_set_node()
     node._start_wave(100, 5)
-    node._start_wave(110, 1)
-    node._schedule(108, radio.Stop())
-    assert node.next_transmit_round(100) == 100
-    assert node.train(100) == [100, 104, 106, 107]
-    assert [node.decide(q) for q in (100, 104, 106, 107)] == [radio.WavePulse()] * 4
-    assert node.next_transmit_round(108) == 108 and node.train(108) == [108]
-    assert node.decide(108) == radio.Stop()
-    assert node.train(110) == _pulse_rounds(110, 1)
+    fired = []
+    node._arm(105, fired.append)
+    assert node.train(100) == [100, 104]
+    assert [node.decide(q) for q in (100, 104)] == [radio.WavePulse()] * 2
+    assert node.next_transmit_round(105) == 106 and fired == [105]
+    assert node.train(106) == [106, 107]
 
 
 def test_node_is_not_done_while_a_pulse_is_pending_and_keeps_no_spent_run():
