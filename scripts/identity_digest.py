@@ -1,4 +1,4 @@
-"""Byte-identity digests of rsd's outputs on four fixed sets.
+"""Byte-identity digests of rsd's outputs on five fixed sets.
 
 Run it with the checkout to examine on the path, once per checkout, and
 compare the printed lines; equal digests mean byte-identical outputs:
@@ -16,9 +16,13 @@ It prints one blake2b digest per set, with the number of records hashed:
   grid, path(150) and random_tree(1000,8,2);
 - dense: the same record for random_connected_graph(300,16,1,extra_edges=300);
 - small: the same record for all 27,475 connected labelled graphs on
-  2 <= n <= 6.
+  2 <= n <= 6;
+- repair: the same record for the graphs whose phase replay needs a
+  repair: random_connected_graph(n, cap, seed, extra_edges=2n) for the
+  eight (n, cap, seed) of REPAIRS, and the DENSE_REPAIRS of
+  `tests/test_regressions.py`.
 
-With no SET named, all four are printed; `small` takes the longest.
+With no SET named, all five are printed; `small` takes the longest.
 """
 from __future__ import annotations
 
@@ -107,6 +111,19 @@ def dense():
     yield random_connected_graph(300, 16, 1, extra_edges=300)
 
 
+REPAIRS = [(65, 6, 7289), (73, 8, 7358), (46, 10, 7575), (56, 8, 7890),
+           (71, 6, 8149), (34, 8, 8234), (73, 10, 8395), (38, 8, 8482)]
+
+
+def repair():
+    from test_regressions import DENSE_REPAIRS
+
+    for n, cap, seed in REPAIRS:
+        yield random_connected_graph(n, cap, seed, extra_edges=2 * n)
+    for n, cap, seed, extra in DENSE_REPAIRS:
+        yield random_connected_graph(n, cap, seed, extra_edges=extra)
+
+
 def small():
     from test_graphs import connected_graphs
 
@@ -114,7 +131,13 @@ def small():
         yield from connected_graphs(n)
 
 
-SETS = {"corpus": (corpus, True), "deep": (deep, False), "dense": (dense, False), "small": (small, False)}
+SETS = {
+    "corpus": (corpus, True),
+    "deep": (deep, False),
+    "dense": (dense, False),
+    "small": (small, False),
+    "repair": (repair, False),
+}
 
 
 def main(argv: list[str]) -> int:

@@ -26,6 +26,8 @@ from typing import List, NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL_TESTS = "tests/test_protocol.py::"
+RADIO_TESTS = "tests/test_radio.py::"
+UPPER_SETS_TESTS = "tests/test_upper_sets.py::"
 
 
 class Mutant(NamedTuple):
@@ -103,6 +105,125 @@ MUTANTS = [
         '            self._enter("child_blocks", self._obs_child_blocks)\n',
         '            self._enter("child_blocks")\n',
         [PROTOCOL_TESTS + "test_completed_child_leaves_no_timer_armed"],
+    ),
+    # the one relay rule
+    Mutant(
+        "relay_root_wave_from_every_node",
+        "protocol.py",
+        "if (self.label.has(4) if d is None",
+        "if (True if d is None",
+        [PROTOCOL_TESTS + "test_k2_run"],
+    ),
+    Mutant(
+        "relay_budget_one_hop_longer",
+        "protocol.py",
+        "else d < 2 * self.h):",
+        "else d <= 2 * self.h):",
+        [PROTOCOL_TESTS + "test_star4_run_and_phase_weights"],
+    ),
+    Mutant(
+        "relay_budget_one_hop_shorter",
+        "protocol.py",
+        "else d < 2 * self.h):",
+        "else d < 2 * self.h - 1):",
+        [PROTOCOL_TESTS + "test_star4_run_and_phase_weights"],
+    ),
+    # the pulse window's cuts
+    Mutant(
+        "window_not_cut_at_reaction",
+        "radio.py",
+        "            rounds = rounds[: bisect_right(rounds, first)]\n",
+        "            rounds = rounds[: bisect_right(rounds, first) + 1]\n",
+        [RADIO_TESTS + "test_window_ends_where_a_listener_replies"],
+    ),
+    Mutant(
+        "window_past_other_nodes",
+        "radio.py",
+        "    rounds = train[: bisect_right(train, end)]\n",
+        "    rounds = list(train)\n",
+        [RADIO_TESTS + "test_window_ends_before_another_node_may_transmit"],
+    ),
+    # a member's block-final account and the report slots
+    Mutant(
+        "account_ignores_collisions",
+        "upper_sets.py",
+        "    if not collision_free or not tag_bits:\n",
+        "    if not tag_bits:\n",
+        [UPPER_SETS_TESTS + "test_account_block_needs_a_clean_window_a_tag_and_matching_counts"],
+    ),
+    Mutant(
+        "account_without_a_tag",
+        "upper_sets.py",
+        "    if not collision_free or not tag_bits:\n",
+        "    if not collision_free:\n",
+        [UPPER_SETS_TESTS + "test_account_block_needs_a_clean_window_a_tag_and_matching_counts"],
+    ),
+    Mutant(
+        "account_skips_count_check",
+        "upper_sets.py",
+        "    if sum(counts.values()) != bits_value(tag_bits):\n",
+        "    if False:\n",
+        [UPPER_SETS_TESTS + "test_account_block_needs_a_clean_window_a_tag_and_matching_counts"],
+    ),
+    Mutant(
+        "account_weight_without_self",
+        "upper_sets.py",
+        "    return 1 + sum(w * c for w, c in counts.items())\n",
+        "    return sum(w * c for w, c in counts.items())\n",
+        [UPPER_SETS_TESTS + "test_account_block_needs_a_clean_window_a_tag_and_matching_counts"],
+    ),
+    Mutant(
+        "report_slot_one_weight_later",
+        "upper_sets.py",
+        "    return m + (weight - 1) * m + tag_id\n",
+        "    return m + weight * m + tag_id\n",
+        [UPPER_SETS_TESTS + "test_report_slots_follow_the_collision_tag_slots"],
+    ),
+    Mutant(
+        "report_slot_over_tag_slots",
+        "upper_sets.py",
+        "    return m + (weight - 1) * m + tag_id\n",
+        "    return (weight - 1) * m + tag_id\n",
+        [UPPER_SETS_TESTS + "test_report_slots_follow_the_collision_tag_slots"],
+    ),
+    # the one repair rule of the phase replay
+    Mutant(
+        "own_one_digit_promoted",
+        "upper_sets.py",
+        "            return False\n        if victim in pinned:\n",
+        "            return True\n        if victim in pinned:\n",
+        [
+            UPPER_SETS_TESTS + "test_a_child_on_its_own_one_digit_is_not_promoted",
+            UPPER_SETS_TESTS + "test_a_suspect_that_cannot_move_raises",
+        ],
+    ),
+    Mutant(
+        "pinned_suspect_retried",
+        "upper_sets.py",
+        "                u not in pinned and _promote_to_one_bit(",
+        "                _promote_to_one_bit(",
+        [UPPER_SETS_TESTS + "test_pinned_suspects_are_skipped_and_the_first_movable_one_is_promoted"],
+    ),
+    Mutant(
+        "robbed_carriers_largest_first",
+        "upper_sets.py",
+        "silenced = [u for u in plan.nprime[v] if",
+        "silenced = [u for u in reversed(plan.nprime[v]) if",
+        [UPPER_SETS_TESTS + "test_robbed_member_names_its_silenced_carriers_smallest_first"],
+    ),
+    Mutant(
+        "robbed_member_largest_first",
+        "upper_sets.py",
+        "            for v in sorted(incomplete):\n",
+        "            for v in sorted(incomplete, reverse=True):\n",
+        [UPPER_SETS_TESTS + "test_the_smallest_robbed_member_is_named"],
+    ),
+    Mutant(
+        "miscount_suspects_own_carriers",
+        "upper_sets.py",
+        "sorted(u for u in audible if plan.owner.get(u) != v)",
+        "sorted(audible)",
+        [UPPER_SETS_TESTS + "test_a_miscounting_member_names_its_foreign_carriers"],
     ),
 ]
 

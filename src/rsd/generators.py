@@ -48,31 +48,39 @@ def random_tree(n: int, delta_cap: int, seed: int) -> Graph:
 def random_connected_graph(
     n: int, delta_cap: int, seed: int, extra_edges: int | None = None
 ) -> Graph:
-    """Random spanning tree plus extra random edges under the degree cap."""
+    """Random spanning tree plus extra random edges under the degree cap.
+
+    Draws stop once extra_edges are added, after 20 * extra_edges draws, or
+    when every pair of open nodes (degree below the cap) is an edge: a
+    later draw would fail, so stopping there changes no edge."""
     if extra_edges is None:
         extra_edges = n // 3
     elif extra_edges < 0:
         raise ValueError(f"extra edges must be >= 0, got {extra_edges}")
     rng = random.Random(seed)
     base = random_tree(n, delta_cap, rng.randrange(2**32))
-    degree = [base.degree(v) for v in range(n)]
-    edges = set(base.edges)
+    nbrs = [set(base.adj[v]) for v in range(n)]
+    open_nodes = {v for v in range(n) if len(nbrs[v]) < delta_cap}
+    open_edges = sum(1 for u, v in base.edges if u in open_nodes and v in open_nodes)
     added = 0
     attempts = 0
     while added < extra_edges and attempts < 20 * max(1, extra_edges):
+        if open_edges == len(open_nodes) * (len(open_nodes) - 1) // 2:
+            break  # no pair fits
         attempts += 1
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u == v:
+        if u == v or v in nbrs[u] or u not in open_nodes or v not in open_nodes:
             continue
-        e = (u, v) if u < v else (v, u)
-        if e in edges or degree[u] >= delta_cap or degree[v] >= delta_cap:
-            continue
-        edges.add(e)
-        degree[u] += 1
-        degree[v] += 1
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        open_edges += 1
         added += 1
-    return Graph.from_edges(n, sorted(edges))
+        for w in (u, v):
+            if len(nbrs[w]) == delta_cap:  # w closes: its edges to open nodes no longer count
+                open_nodes.discard(w)
+                open_edges -= len(nbrs[w] & open_nodes)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in sorted(nbrs[u]) if u < v])
 
 
 def family_member(delta: int, index: int) -> Graph:

@@ -44,7 +44,6 @@ heard in earlier rounds has been delivered.
 """
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -743,14 +742,8 @@ class ProtocolResult:
 
 
 def round_cap_multiplier() -> int:
-    """The round cap's multiplier: RSD_ROUND_CAP_MULTIPLIER, default 64."""
-    raw = os.environ.get("RSD_ROUND_CAP_MULTIPLIER", "64")
-    try:
-        if int(raw) >= 1:
-            return int(raw)
-    except ValueError:
-        pass
-    raise ValueError(f"RSD_ROUND_CAP_MULTIPLIER must be a positive integer, got {raw!r}")
+    """The round cap's multiplier: cap = 64 * D * n^2 * (floor(log Delta) + 1)."""
+    return 64
 
 
 def run_protocol(g: Graph, record_trace: bool = False) -> ProtocolResult:

@@ -270,15 +270,16 @@ def _replay_level(
     l: int,
     l2: Dict[int, Tuple[int, int]],
     l3: Dict[int, Tuple[int, int]],
-):
+) -> Tuple[Optional[Dict[int, int]], List[int]]:
     """Exact slot-by-slot replay of one phase's block dynamics.
 
     A member completes when `account_block` accepts what its active
     children send; it then stops at the block end, silencing every
-    adjacent child.  Returns ('ok', blocks) when every member completes
-    with its true weight, ('wrong', member, strays) when a member would
-    adopt a wrong weight, and ('robbed', member, child) when a member can
-    never complete because a foreign stop silenced one of its tag carriers.
+    adjacent child.  Returns (blocks, []) when every member completes with
+    its true weight, else (None, suspects), the children whose promotion
+    could repair the phase: the foreign carriers of the first member that
+    would adopt a wrong weight, or else the silenced tag carriers of the
+    smallest robbed member, smallest first (none if no member is robbed).
     """
     m = bitlen(d.delta)
     active = {u for u in d.levels[l + 1] if u in l2 or u in l3}
@@ -306,26 +307,19 @@ def _replay_level(
             if learned is None:
                 continue
             if learned != weights[v]:
-                strays = sorted(u for u in audible if plan.owner.get(u) != v)
-                return ("wrong", v, strays)
+                return None, sorted(u for u in audible if plan.owner.get(u) != v)
             finishing.append(v)
         if not finishing:
-            own_tagged = {}
-            for v in incomplete:
-                own_tagged[v] = [
-                    u for u in plan.nprime[v] if (u in l2 or u in l3) and u not in active
-                ]
-            v = min((v for v in incomplete if own_tagged[v]), default=None)
-            if v is not None:
-                return ("robbed", v, min(own_tagged[v]))
-            raise OraclePlanError(
-                f"level {l}: no member can complete in block {block} and none is robbed"
-            )
+            for v in sorted(incomplete):
+                silenced = [u for u in plan.nprime[v] if (u in l2 or u in l3) and u not in active]
+                if silenced:
+                    return None, silenced
+            return None, []
         for v in finishing:
             blocks[v] = block
             active.difference_update(g.adj[v])
         incomplete = [v for v in incomplete if v not in blocks]
-    return ("ok", blocks)
+    return blocks, []
 
 
 def _promote_to_one_bit(
@@ -335,12 +329,15 @@ def _promote_to_one_bit(
     l3: Dict[int, Tuple[int, int]],
     pinned: set,
 ) -> bool:
-    """Move child u onto a 1-digit position of its weight class.
+    """Move child u onto a 1-digit position of its weight class and pin it.
 
     A 1-digit report strictly inflates any foreign member's per-weight sum
     (or collides outright), so its carrier provably stalls every member
-    other than its owner and can never be silenced early.  The displaced
-    classmate takes u's old spot (or loses its tag if u had none).
+    other than its owner and can never be silenced early.  u takes the
+    first 1 position, most significant first, that an unpinned classmate
+    holds; the classmate takes u's old spot (or loses its tag if u had
+    none).  Returns False, changing nothing, if u holds that position itself
+    or every holder is pinned.
     """
     owner = plan.owner[u]
     classmates = [c for c in plan.nprime[owner] if weights[c] == weights[u]]
@@ -350,7 +347,7 @@ def _promote_to_one_bit(
     for pos in one_positions:
         victim = holder[pos]
         if victim == u:
-            return True  # already protected
+            return False
         if victim in pinned:
             continue
         old = l3.get(u)
@@ -373,11 +370,13 @@ def finalize_weight_tags(
     """Weight-transmission tags plus the per-level completion-block schedule.
 
     Starts from the audibility-aware assignment and repairs it against the
-    exact phase replay: whenever the replay finds a member that is robbed of
-    a tag carrier (or would adopt a wrong weight), the offending child is
-    promoted to a 1-digit position, which provably stalls the member that
-    silenced (or miscounted) it.  Each repair pins one child, so the loop
-    terminates.
+    exact phase replay with one rule: the first suspect of a failed replay
+    that is not pinned and that `_promote_to_one_bit` can move is moved to
+    a 1 digit and pinned, which provably stalls the member that silenced
+    (or miscounted) it; if none can move, OraclePlanError is raised.  So
+    each replay of level l accepts it, pins a level-(l+1) child that was
+    not pinned before, or raises.  Pins are never undone, so level l takes
+    at most |V(l+1)| + 1 replays.
     """
     l2 = collision_tag_map(plan)
     l3 = weight_tag_map(plan, weights)
@@ -385,23 +384,13 @@ def finalize_weight_tags(
     pinned: set = set()
     for l in range(d.h):
         while True:
-            verdict = _replay_level(g, d, plan, weights, l, l2, l3)
-            if verdict[0] == "ok":
-                blocks_per_level[l] = verdict[1]
+            blocks, suspects = _replay_level(g, d, plan, weights, l, l2, l3)
+            if blocks is not None:
+                blocks_per_level[l] = blocks
                 break
-            if verdict[0] == "robbed":
-                _, _v, child = verdict
-                if not _promote_to_one_bit(child, plan, weights, l3, pinned):
-                    raise OraclePlanError(
-                        f"level {l}: cannot protect robbed child {child} of member {_v}"
-                    )
-            else:  # wrong weight at verdict[1] caused by stray carriers
-                _, v, strays = verdict
-                for u in strays:
-                    if u not in pinned and _promote_to_one_bit(u, plan, weights, l3, pinned):
-                        break
-                else:
-                    raise OraclePlanError(
-                        f"level {l}: cannot stall member {v} miscounting strays {strays}"
-                    )
+            if not any(
+                u not in pinned and _promote_to_one_bit(u, plan, weights, l3, pinned)
+                for u in suspects
+            ):
+                raise OraclePlanError(f"level {l}: no suspect among {suspects} can be promoted")
     return l3, blocks_per_level

@@ -191,6 +191,51 @@ def test_graph_generator_refuses_negative_extra_edges():
         random_connected_graph(10, 4, 0, extra_edges=-3)
 
 
+def extra_edges_by_drawing(n, cap, seed, extra):
+    """The edges of random_connected_graph without its stop at saturation:
+    it draws up to 20 * extra pairs, whether or not any pair still fits."""
+    rng = random.Random(seed)
+    base = random_tree(n, cap, rng.randrange(2**32))
+    degree = [base.degree(v) for v in range(n)]
+    edges = set(base.edges)
+    added = attempts = 0
+    while added < extra and attempts < 20 * max(1, extra):
+        attempts += 1
+        u, v = rng.randrange(n), rng.randrange(n)
+        e = (min(u, v), max(u, v))
+        if u == v or e in edges or degree[u] >= cap or degree[v] >= cap:
+            continue
+        edges.add(e)
+        degree[u] += 1
+        degree[v] += 1
+        added += 1
+    return sorted(edges)
+
+
+def test_graph_generator_stops_drawing_only_when_no_pair_fits():
+    for n, cap, seed, extra in itertools.product((2, 3, 5, 10, 24), (2, 3, 4, 8), range(4), (0, 1, 7, 40, 300)):
+        if cap >= min(2, n - 1):
+            got = random_connected_graph(n, cap, seed, extra_edges=extra).edges
+            assert list(got) == extra_edges_by_drawing(n, cap, seed, extra), (n, cap, seed, extra)
+
+
+def test_saturated_graph_generator_makes_few_draws(monkeypatch):
+    draws = []
+
+    class Counting(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    g = random_connected_graph(10, 4, 1, extra_edges=200_000)
+    assert g.max_degree() <= 4 and len(g.edges) < 9 + 200_000
+    # saturated: no pair of distinct nodes below the cap is a non-edge
+    open_nodes = [v for v in range(10) if g.degree(v) < 4]
+    assert all(w in g.adj[v] for v, w in itertools.combinations(open_nodes, 2))
+    assert len(draws) < 2_000  # the attempt cap alone allows 4,000,000 pair draws
+
+
 def test_diameter_path():
     g = parse_graph("5 4\n0 1\n1 2\n2 3\n3 4\n")
     assert g.diameter() == 4

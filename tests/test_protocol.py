@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from test_graphs import connected_graphs
 
-from rsd import radio
+from rsd import protocol, radio
 from rsd.generators import path, random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
 from rsd.labels import Label, Tag, make_markers
@@ -281,7 +281,7 @@ def test_phase_wave_distance_matches_bfs():
 
 
 def test_cap_multiplier_override(monkeypatch):
-    monkeypatch.setenv("RSD_ROUND_CAP_MULTIPLIER", "1")
+    monkeypatch.setattr(protocol, "round_cap_multiplier", lambda: 1)
     res = run_protocol(star(2))
     # 1 * D * n^2 * m = 2 * 9 * 2 = 36 rounds is too few to finish
     assert res.round_cap == 36
@@ -292,7 +292,7 @@ def test_cap_multiplier_override(monkeypatch):
 def test_cap_exhausted_trace_matches_reference(monkeypatch):
     # the fast engine's trace of a capped run ends at the cap, silent rounds
     # filled in, exactly as the reference engine's does
-    monkeypatch.setenv("RSD_ROUND_CAP_MULTIPLIER", "1")
+    monkeypatch.setattr(protocol, "round_cap_multiplier", lambda: 1)
     g = star(2)
     res = run_protocol(g, record_trace=True)
     assert "cap" in (res.failure or "")
@@ -334,7 +334,7 @@ def test_fault_in_next_transmit_round_is_a_run_failure(monkeypatch):
 
 
 def test_round_cap_env_override(monkeypatch):
-    monkeypatch.setenv("RSD_ROUND_CAP_MULTIPLIER", "1")
+    monkeypatch.setattr(protocol, "round_cap_multiplier", lambda: 1)
     res = run_protocol(star(1))
     assert res.round_cap == 1 * 1 * 4 * 1
     assert not res.ok
