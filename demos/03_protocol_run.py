@@ -9,7 +9,7 @@ from rsd import run_protocol
 from rsd.graphs import Graph
 
 diamond = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-result = run_protocol(diamond, record_trace=True)
+result = run_protocol(diamond, record_trace=True, record_events=True)
 
 print("outputs:", result.outputs)
 print("rounds used:", result.rounds_used, "of cap", result.round_cap)

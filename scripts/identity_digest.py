@@ -48,7 +48,7 @@ TRACE_MAX_N = 40  # larger traces are too long to hash on every graph
 def record(h, g: Graph) -> None:
     """Hash one `run_protocol` run of g: its graph, verdict, failure,
     rounds, outputs, every node's events and, where n <= 40, the trace."""
-    res = run_protocol(g, record_trace=g.n <= TRACE_MAX_N)
+    res = run_protocol(g, record_trace=g.n <= TRACE_MAX_N, record_events=True)
     events = [res.nodes[v].events for v in range(g.n)]
     h.update(repr((g.n, g.edges, res.ok, res.failure, res.rounds_used, res.outputs, events)).encode())
     if res.trace is not None:

@@ -6,8 +6,10 @@ expected to kill it.  The sweep copies `src/`, `tests/`, `scripts/` and
 `pyproject.toml` to a temporary directory (pytest puts the checkout's own
 `src` first on the path, so the tests run from the copy), checks that the
 listed tests pass on the unmutated copy, then applies one mutant at a
-time and runs its tests, one pytest process after another.  It prints one
-line per mutant and exits 1 if any mutant survives:
+time and runs its tests, one pytest process after another.  A mutant's
+run that takes longer than TIMEOUT_S seconds is stopped and the mutant
+counted as killed by timeout: a broken run can go on to the round cap.
+It prints one line per mutant and exits 1 if any mutant survives:
 
     python scripts/mutants.py [NAME ...]
 
@@ -28,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL_TESTS = "tests/test_protocol.py::"
 RADIO_TESTS = "tests/test_radio.py::"
 UPPER_SETS_TESTS = "tests/test_upper_sets.py::"
+TIMEOUT_S = 120  # per mutant; the listed tests take a few seconds on the unmutated source
 
 
 class Mutant(NamedTuple):
@@ -143,6 +146,22 @@ MUTANTS = [
         "    rounds = list(train)\n",
         [RADIO_TESTS + "test_window_ends_before_another_node_may_transmit"],
     ),
+    # the event log, kept only on request
+    Mutant(
+        "events_logged_without_request",
+        "protocol.py",
+        "self.events: Optional[List[tuple]] = [] if record_events else None\n",
+        "self.events: Optional[List[tuple]] = []\n",
+        [PROTOCOL_TESTS + "test_events_are_kept_only_when_asked_for"],
+    ),
+    # one live heap entry per node
+    Mutant(
+        "stale_entry_requeried",
+        "radio.py",
+        "        if live[v] != declared:\n            return False  # stale\n",
+        "        if False:\n            return False  # stale\n",
+        [RADIO_TESTS + "test_stalled_run_queries_are_linear_in_the_rounds_resolved"],
+    ),
     # a member's block-final account and the report slots
     Mutant(
         "account_ignores_collisions",
@@ -233,11 +252,17 @@ def occurrences(mutant: Mutant, src: Path = ROOT / "src") -> int:
     return (src / "rsd" / mutant.file).read_text(encoding="utf-8").count(mutant.fragment)
 
 
-def _pytest(work: Path, tests: List[str]) -> int:
+def _pytest(work: Path, tests: List[str], timeout: Optional[float]) -> Optional[int]:
+    """pytest's exit code on `tests`, or None if it ran past `timeout` seconds."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     # no bytecode: a mutant and the original can share a file's size and mtime
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        done = subprocess.run(
+            cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout
+        )
+    except subprocess.TimeoutExpired:  # run() has killed pytest
+        return None
     return done.returncode
 
 
@@ -254,7 +279,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
         all_tests = sorted({t for m in chosen for t in m.tests})
-        if _pytest(work, all_tests) != 0:
+        if _pytest(work, all_tests, None) != 0:
             print("the listed tests fail on the unmutated source", file=sys.stderr)
             return 1
         survivors = 0
@@ -265,10 +290,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"{m.name}: fragment does not occur exactly once", file=sys.stderr)
                 return 2
             target.write_text(original.replace(m.fragment, m.replacement), encoding="utf-8")
-            killed = _pytest(work, m.tests) != 0
+            code = _pytest(work, m.tests, TIMEOUT_S)
             target.write_text(original, encoding="utf-8")
-            survivors += not killed
-            print(f"{m.name}: {'killed by' if killed else 'SURVIVED'} {', '.join(m.tests)}")
+            survivors += code == 0
+            if code is None:
+                verdict = f"killed by timeout ({TIMEOUT_S} s) in"
+            else:
+                verdict = "killed by" if code else "SURVIVED"
+            print(f"{m.name}: {verdict} {', '.join(m.tests)}")
     print(f"{len(chosen) - survivors} of {len(chosen)} killed")
     return 1 if survivors else 0
 

@@ -222,12 +222,18 @@ def _is_pulse(obs: Observation) -> bool:
 
 
 class SizeDiscoveryNode:
-    """Deterministic per-node machine; consumes only its label and observations."""
+    """Deterministic per-node machine; consumes only its label and observations.
 
-    def __init__(self, label: Label, node_id: int = -1):
+    With `record_events`, `events` is the node's audit log: one tuple per
+    step (what it learned, each wave it accepted, each weight, stop and
+    phase end), in order.  Without it, `events` is None and the node keeps
+    only its O(1) state, as the paper's node does.
+    """
+
+    def __init__(self, label: Label, node_id: int = -1, record_events: bool = False):
         self.label = label
         self.node_id = node_id
-        self.events: List[tuple] = []
+        self.events: Optional[List[tuple]] = [] if record_events else None
 
         self.delta: Optional[int] = None
         self.m: Optional[int] = None
@@ -391,7 +397,8 @@ class SizeDiscoveryNode:
         raise ProtocolDesyncError(message, r, self.node_id, self.stage)
 
     def _event(self, *items) -> None:
-        self.events.append(items)
+        if self.events is not None:
+            self.events.append(items)
 
     # -- awaiting a wave --
 
@@ -496,7 +503,7 @@ class SizeDiscoveryNode:
                     f"degree bits incomplete: have ids {sorted(self._delta_bits)}", r
                 )
             value = bits_value(self._delta_bits)
-            if bitlen(value) != self.m:
+            if value.bit_length() != self.m:  # also refuses a degree of 0
                 self._desync(f"degree {value} does not fit its own bit count", r)
             self.delta = value
             self._event("delta", r, value)
@@ -714,7 +721,8 @@ class ProtocolResult:
     `rounds_used` is the last round in which anyone transmitted or, if the
     simulation raised, the round it failed in.  `trace` is the run's
     `SimulationTrace` when one was asked for, else None; if the run failed
-    it holds the rounds resolved before the failure.
+    it holds the rounds resolved before the failure.  Each node's `events`
+    is its audit log when the run was asked to record events, else None.
     """
 
     ok: bool
@@ -746,8 +754,14 @@ def round_cap_multiplier() -> int:
     return 64
 
 
-def run_protocol(g: Graph, record_trace: bool = False) -> ProtocolResult:
-    """Label the graph, run size discovery, and audit the outputs against n."""
+def run_protocol(g: Graph, record_trace: bool = False, record_events: bool = False) -> ProtocolResult:
+    """Label the graph, run size discovery, and audit the outputs against n.
+
+    The audit reads only each node's `output` and `done`.  `record_trace`
+    keeps every resolved round, and `record_events` keeps each node's event
+    log (see `SizeDiscoveryNode`); the log grows by about four events per
+    node and phase, so a run without it holds O(1) state per node.
+    """
     if g.n < 2:
         raise ValueError("size discovery requires n >= 2: the root must have a neighbor")
     d = decompose(g)
@@ -755,7 +769,7 @@ def run_protocol(g: Graph, record_trace: bool = False) -> ProtocolResult:
     weights = compute_weights(plan, d)
     scheme = assign_labels(g, d, plan, weights)
     cap = round_cap_multiplier() * g.diameter() * g.n * g.n * bitlen(d.delta)
-    nodes = {v: SizeDiscoveryNode(scheme.labels[v], node_id=v) for v in range(g.n)}
+    nodes = {v: SizeDiscoveryNode(scheme.labels[v], v, record_events) for v in range(g.n)}
 
     failure = None
     trace = SimulationTrace(g.n) if record_trace else None

@@ -305,16 +305,17 @@ def _shared_train(
 def _window(
     automata: Dict[int, Automaton],
     heap: List[Tuple[int, int]],
+    live: List[Optional[int]],
     train: List[int],
     actions: Dict[int, Optional[Message]],
     obs: Dict[int, Observation],
     max_rounds: int,
 ) -> List[int]:
     """The rounds of the senders' `train` that one observation per node can
-    resolve: those within the cap and before the first heap entry of any
-    other node, up to the first round at which a listener could react."""
-    while heap and heap[0][1] in actions:
-        heapq.heappop(heap)  # senders are queried afresh after the window
+    resolve: those within the cap and before the first live heap entry,
+    up to the first round at which a listener could react."""
+    while heap and live[heap[0][1]] != heap[0][0]:
+        heapq.heappop(heap)  # stale: so is every entry of a sender, queried afresh after the window
     end = min(heap[0][0] - 1, max_rounds) if heap else max_rounds
     rounds = train[: bisect_right(train, end)]
     for v, o in obs.items():
@@ -343,8 +344,11 @@ def run_scheduled(
     Sound because automata ignore silence: the next pending transmission of
     an automaton that no round touches never moves earlier, so a lazy heap
     of declared rounds always knows the next globally non-silent round.
-    Every heap entry of that round is checked, so only nodes that transmit
-    in it decide it.
+    Every live heap entry of that round is checked, so only nodes that
+    transmit in it decide it.  A node holds one live entry, `live[v]`, the
+    round it last declared: it is pushed only when that round changes, and
+    an entry that is no longer live is dropped without asking the node.  So
+    the queries grow with the rounds resolved, even in a run that stalls.
 
     When those senders share one pulse train (see `Automaton`), the engine
     resolves the train's rounds as one pulse window: `resolve_round` once,
@@ -356,30 +360,48 @@ def run_scheduled(
     faults land in the same round and node as in the reference.  Where any
     of this does not hold, the engine goes round by round.
 
-    Every round it resolves goes into `trace`, if given; when the cap stops
-    the run, the trace ends at round max_rounds, as the reference's does.
+    Every round it resolves goes into `trace`, if given.  The run stops at
+    the first heap entry past the cap without asking its node, so, as in
+    the reference, no timer past the cap runs and a node whose timer keeps
+    moving on cannot hold the run; the trace then ends at round max_rounds,
+    as the reference's does.
     Returns the last round in which anyone transmitted.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
     heap: List[Tuple[int, int]] = []
+    live: List[Optional[int]] = [None] * g.n  # the round of v's one live heap entry
+
+    def declare(v: int, nxt: Optional[int]) -> None:
+        if nxt != live[v]:
+            live[v] = nxt
+            if nxt is not None:
+                heapq.heappush(heap, (nxt, v))
+
+    def due(declared: int, v: int) -> bool:
+        """Pop-time check of v's entry for round `declared`: True when it is
+        live and v still transmits then; its entry is then spent."""
+        if live[v] != declared:
+            return False  # stale
+        live[v] = None  # popped: re-declared now, or after the round
+        actual = _next(automata, v, declared)
+        if actual == declared:
+            return True
+        declare(v, actual)
+        return False
+
     not_done = set()
     for v in range(g.n):
         if not automata[v].done:
             not_done.add(v)
-        nxt = _next(automata, v, 1)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt, v))
+        declare(v, _next(automata, v, 1))
     last_activity = 0
     while not_done:
         r = None
         while heap and r is None:
             declared, v = heapq.heappop(heap)
-            actual = _next(automata, v, declared)
-            if actual == declared:
-                r = declared
-            elif actual is not None:
-                heapq.heappush(heap, (actual, v))
+            if declared > max_rounds or due(declared, v):
+                r = declared  # past the cap: no node transmits earlier
         if r is None:
             v = min(not_done)
             raise SimulationError(
@@ -394,16 +416,12 @@ def run_scheduled(
         senders = [v]
         while heap and heap[0][0] == r:
             _, v = heapq.heappop(heap)
-            if v not in senders:
-                actual = _next(automata, v, r)
-                if actual == r:
-                    senders.append(v)
-                elif actual is not None:
-                    heapq.heappush(heap, (actual, v))
+            if due(r, v):
+                senders.append(v)
         train = _shared_train(automata, senders, r)
         actions = _decide(automata, senders, r)
         obs = resolve_round(g, actions)
-        rounds = [r] if train is None else _window(automata, heap, train, actions, obs, max_rounds)
+        rounds = [r] if train is None else _window(automata, heap, live, train, actions, obs, max_rounds)
         for q in rounds[1:]:
             if trace is not None:
                 trace.record(r, actions, obs)
@@ -425,9 +443,7 @@ def run_scheduled(
                 not_done.discard(v)
             elif v not in not_done:
                 not_done.add(v)
-            nxt = _next(automata, v, r + 1)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt, v))
+            declare(v, _next(automata, v, r + 1))
         if any(msg is not None for msg in actions.values()):
             last_activity = r
     return last_activity

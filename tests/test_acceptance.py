@@ -44,7 +44,7 @@ def build_corpus():
 def corpus_runs():
     runs = []
     for name, g in build_corpus():
-        runs.append((name, g, run_protocol(g)))
+        runs.append((name, g, run_protocol(g, record_events=True)))
     return runs
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ from rsd import cli, protocol, radio
 from rsd.cli import MAX_BETA, main
 from rsd.graphs import Graph, parse_graph
 from rsd.history_lab import pattern_bound
+from rsd.labels import Tag
 from rsd.protocol import SizeDiscoveryNode, run_protocol
 
 
@@ -283,6 +285,27 @@ def test_run_exit_one_on_cap_exhaustion(tmp_path, monkeypatch):
     g = tmp_path / "k2.g"
     g.write_text("2 1\n0 1\n")
     assert run_cli("run", str(g)) == 1
+
+
+def test_run_names_the_stage_when_the_degree_tags_spell_zero(tmp_path, monkeypatch, capsys):
+    # on path(5) the root (node 1) learns the degree 2 = 10 from learner 0's
+    # l1 bit 1 and learner 2's bit 0; with learner 0's bit flipped the tags
+    # spell 0
+    real = protocol.assign_labels
+
+    def flipped(*args):
+        scheme = real(*args)
+        label = scheme.labels[0]
+        assert label.l1 == Tag(1, 1)
+        scheme.labels[0] = dataclasses.replace(label, l1=Tag(1, 0))
+        return scheme
+
+    monkeypatch.setattr(protocol, "assign_labels", flipped)
+    g = tmp_path / "path5.g"
+    g.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
+    assert run_cli("run", str(g)) == 1
+    err = capsys.readouterr().err
+    assert err == "failure: round 2, node 1: [root_collect] degree 0 does not fit its own bit count\n"
 
 
 def test_run_report_counts_rounds_up_to_a_failure(tmp_path, monkeypatch):

@@ -340,7 +340,7 @@ def test_scheme_leaves_with_equal_labels_are_indistinguishable():
     pairs = 0
     for delta in (4, 6, 8, 12, 16):
         for tree in build_family(delta):
-            res = run_protocol(tree.graph, record_trace=True)
+            res = run_protocol(tree.graph, record_trace=True, record_events=True)
             assert res.ok
             labels = res.scheme.encoded
             for group in (tree.leaves_r, tree.leaves_a):

@@ -7,7 +7,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
-from mutants import MUTANTS, occurrences  # noqa: E402
+from mutants import MUTANTS, _pytest, occurrences  # noqa: E402
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
@@ -22,3 +22,8 @@ def test_mutant_names_and_tests_are_known():
         for test in m.tests:
             file, name = test.split("::")
             assert f"def {name}(" in (ROOT / file).read_text(encoding="utf-8"), test
+
+
+def test_a_run_past_the_time_limit_is_reported_as_a_timeout(tmp_path):
+    # the interpreter alone takes longer than a millisecond to start
+    assert _pytest(tmp_path, ["tests"], 0.001) is None

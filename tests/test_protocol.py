@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
@@ -91,7 +93,7 @@ def test_tau_examples():
 
 
 def test_k2_run():
-    res = run_protocol(star(1))
+    res = run_protocol(star(1), record_events=True)
     assert res.ok
     assert res.outputs == {0: 2, 1: 2}
     # the root learns the degree from the single tagged neighbor in round 1
@@ -132,19 +134,62 @@ def test_single_node_rejected():
 def _reference_run(g, res):
     """The reference engine on a protocol run's labels and round cap:
     (nodes, trace, rounds_used)."""
-    nodes = {v: SizeDiscoveryNode(res.scheme.labels[v], v) for v in range(g.n)}
+    nodes = {v: SizeDiscoveryNode(res.scheme.labels[v], v, record_events=True) for v in range(g.n)}
     trace, rounds_used = radio.run(g, nodes, res.round_cap)
     return nodes, trace, rounds_used
 
 
 def test_engines_agree():
     for g in (star(3), path(5), random_connected_graph(14, 5, 2)):
-        fast = run_protocol(g)
+        fast = run_protocol(g, record_events=True)
         ref_nodes, _trace, ref_rounds = _reference_run(g, fast)
         assert fast.outputs == {v: ref_nodes[v].output for v in range(g.n)}
         assert fast.rounds_used == ref_rounds
         for v in range(g.n):
             assert fast.nodes[v].events == ref_nodes[v].events
+
+
+def test_events_are_kept_only_when_asked_for():
+    g = random_connected_graph(14, 5, 2)
+    plain = run_protocol(g, record_trace=True)
+    logged = run_protocol(g, record_trace=True, record_events=True)
+    assert all(plain.nodes[v].events is None for v in range(g.n))
+    assert all(logged.nodes[v].events for v in range(g.n))
+    assert plain.ok and plain.outputs == logged.outputs
+    assert plain.rounds_used == logged.rounds_used
+    assert plain.trace.format_text() == logged.trace.format_text()
+
+
+def test_a_run_without_the_event_log_holds_constant_state_per_node():
+    # path(200) runs h = 198 phases.  Without the log a node keeps a fixed
+    # set of attributes, its label, four small dicts (its outbox, and what
+    # the degree tags or one block taught it) and the pulse rounds heard
+    # while it awaits one wave: about 1.5 KiB whatever h is, plus its share
+    # of the graph, labels and oracle tables.  8 KiB per node bounds all of
+    # it.  The log adds four tuples of at least 64 bytes per node and phase,
+    # over 50 KiB per node here.
+    g = path(200)
+    budget = 8 * 1024 * g.n
+    tracemalloc.start()
+    try:
+        res = run_protocol(g)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.ok
+    assert 4 * res.decomposition.h * g.n * sys.getsizeof((0, 0, 0)) > 2 * budget
+    assert peak < budget
+
+
+def test_root_refuses_a_degree_of_zero():
+    # tags spelling 0 are no degree: the root stops in its own stage
+    root = SizeDiscoveryNode(Label(make_markers(0), l1=Tag(2, 0)), node_id=1)
+    root.observe(1, radio.Heard(radio.DeltaLearn(Tag(1, 0))))
+    with pytest.raises(ProtocolDesyncError) as err:
+        root.observe(2, radio.Heard(radio.DeltaLearn(Tag(2, 0))))
+    assert err.value.stage == "root_collect"
+    assert (err.value.round_no, err.value.node) == (2, 1)
+    assert "degree 0 does not fit its own bit count" in str(err.value)
 
 
 def test_round_cap_respected_and_reported():
@@ -157,7 +202,7 @@ def test_round_cap_respected_and_reported():
 
 def test_parameter_learning_lemma():
     g = random_connected_graph(25, 6, 11)
-    res = run_protocol(g)
+    res = run_protocol(g, record_events=True)
     assert res.ok
     d = res.decomposition
     t1 = t1_formula(d.delta, d.h)
@@ -170,7 +215,7 @@ def test_parameter_learning_lemma():
 
 def test_phase_weights_lemma():
     g = random_connected_graph(30, 6, 13)
-    res = run_protocol(g)
+    res = run_protocol(g, record_events=True)
     assert res.ok
     d = res.decomposition
     # collect the agreed phase-end rounds
@@ -193,7 +238,7 @@ def test_phase_weights_lemma():
 
 def test_wave_arrival_rounds():
     g = random_tree(24, 5, 9)
-    res = run_protocol(g)
+    res = run_protocol(g, record_events=True)
     assert res.ok
     d = res.decomposition
     m = bitlen(d.delta)
@@ -233,7 +278,7 @@ def test_report_fields():
 
 def test_timeline_arithmetic_matches_run_events():
     g = random_connected_graph(22, 6, 17)
-    res = run_protocol(g)
+    res = run_protocol(g, record_events=True)
     assert res.ok
     d = res.decomposition
     m = bitlen(d.delta)
@@ -258,7 +303,7 @@ def test_timeline_arithmetic_matches_run_events():
 
 def test_phase_wave_distance_matches_bfs():
     g = random_tree(18, 4, 21)
-    res = run_protocol(g)
+    res = run_protocol(g, record_events=True)
     assert res.ok
     d = res.decomposition
     for i in range(1, d.h + 1):
@@ -408,7 +453,7 @@ def test_engine_parity_across_shapes(shape):
             random_tree(6 + 2 * seed, 4, seed),
             random_connected_graph(8 + 2 * seed, 5, seed, extra_edges=seed),
         ][seed % 4]
-    fast = run_protocol(g, record_trace=True)
+    fast = run_protocol(g, record_trace=True, record_events=True)
     ref_nodes, ref_trace, ref_rounds = _reference_run(g, fast)
     assert fast.ok and all(ref_nodes[v].done for v in range(g.n))
     assert fast.outputs == {v: ref_nodes[v].output for v in range(g.n)}
@@ -439,7 +484,7 @@ def test_member_stops_match_oracle_completion_blocks(kind, s):
         g = random_tree(30 + 9 * s, 3 + s, 40 + s)
     else:
         g = random_connected_graph(20 + 8 * s, 4 + s, 60 + s, extra_edges=3 * s)
-    res = run_protocol(g)
+    res = run_protocol(g, record_events=True)
     assert res.ok
     d, plan = res.decomposition, res.plan
     _l3, blocks = finalize_weight_tags(g, d, plan, res.oracle_weights)
@@ -459,7 +504,7 @@ def test_exhaustive_small_world():
     graphs = stops = 0
     for n in range(2, 6):
         for g in connected_graphs(n):
-            res = run_protocol(g)
+            res = run_protocol(g, record_events=True)
             assert res.ok and set(res.outputs.values()) == {n}, g.edges
             d, plan = res.decomposition, res.plan
             _l3, blocks = finalize_weight_tags(g, d, plan, res.oracle_weights)

@@ -175,6 +175,62 @@ def test_scheduled_engine_deadlock_detection():
     assert "not done" in str(err.value)
 
 
+class Counting(Dummy):
+    """Dummy that counts the engine's `next_transmit_round` queries."""
+
+    def __init__(self, schedule=None, linger=False):
+        super().__init__(schedule, linger)
+        self.queries = 0
+
+    def next_transmit_round(self, r):
+        self.queries += 1
+        return super().next_transmit_round(r)
+
+
+class Rearming(Counting):
+    """Never transmits and is never done: a timer due every `period` rounds
+    re-arms itself when a query reaches it, as a member that retries every
+    block does in a run that stalls.  Past `limit` queries it raises, so an
+    engine that keeps asking fails instead of hanging."""
+
+    limit = 100_000
+
+    def __init__(self, period):
+        super().__init__(linger=True)
+        self.period = period
+        self.alarm = period
+
+    def next_transmit_round(self, r):
+        self.queries += 1
+        if self.queries > self.limit:
+            raise RuntimeError("queried past the limit")
+        while self.alarm <= r:
+            self.alarm += self.period
+        return self.alarm
+
+
+def test_stalled_run_queries_are_linear_in_the_rounds_resolved():
+    # node 0 transmits in every round up to and past the cap, so node 1 is
+    # re-queried after each round while its declared round stays put, and
+    # its timer re-arms every 10 rounds
+    rounds = 2000
+    autos = {0: Counting(_pulses(*range(1, rounds + 2)), linger=True), 1: Rearming(10)}
+    assert run_scheduled(star(1), autos, rounds) == rounds
+    assert len(autos[1].seen) == rounds
+    # a query follows each node's observation of a round, or pops a live
+    # entry; a live entry is pushed only by a query that moved it
+    queries = sum(a.queries for a in autos.values())
+    assert queries <= 2 * (2 + 2 * rounds)
+
+
+def test_a_timer_that_keeps_moving_on_cannot_hold_the_run_past_the_cap():
+    autos = {0: Dummy({1: Opaque("m")}), 1: Rearming(10)}
+    trace = SimulationTrace(2)
+    assert run_scheduled(star(1), autos, 100, trace) == 1
+    assert trace.last == 100
+    assert autos[1].alarm == 110  # never asked at its due round past the cap
+
+
 @given(st.integers(2, 8), st.data())
 def test_resolve_round_counts(n, data):
     edges = [(i, i + 1) for i in range(n - 1)]
