@@ -20,9 +20,14 @@ It prints one blake2b digest per set, with the number of records hashed:
 - repair: the same record for the graphs whose phase replay needs a
   repair: random_connected_graph(n, cap, seed, extra_edges=2n) for the
   eight (n, cap, seed) of REPAIRS, and the DENSE_REPAIRS of
-  `tests/test_regressions.py`.
+  `tests/test_regressions.py`;
+- lab: the stdout and exit code of `rsd lowerbound lemmas` for delta 4,
+  6, 8 and 12 at the acceptance gate's settings (50 trials, 200 rounds,
+  seed delta) and at the benchmark's (8 trials, 200 rounds, seeds delta
+  and delta + 1000), plus the exit code, stdout, stderr and trace file of
+  `rsd run --trace` on the benchmark's three `traced_lab` trees.
 
-With no SET named, all five are printed; `small` takes the longest.
+With no SET named, all six are printed; `small` takes the longest.
 """
 from __future__ import annotations
 
@@ -66,15 +71,21 @@ def record_cli(h, g: Graph, tmp: str) -> None:
         for written in (report, trace):
             if os.path.exists(written):
                 os.remove(written)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
+        code, stdout, stderr = run_cli(argv)
         files = []
         for written in (report, trace):
             if os.path.exists(written):
                 with open(written, encoding="utf-8") as fh:
                     files.append(fh.read())
-        h.update(repr((argv[0], code, stdout.getvalue(), stderr.getvalue(), files)).encode())
+        h.update(repr((argv[0], code, stdout, stderr, files)).encode())
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """`rsd ARGV` in process: its exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def digest(graphs, with_cli: bool = False) -> tuple[str, int]:
@@ -131,12 +142,40 @@ def small():
         yield from connected_graphs(n)
 
 
+# (delta, trials, rounds, seed): the acceptance gate's lemma checks, then
+# the benchmark's at its seeds 0 and 1
+LAB_LEMMAS = [(d, 50, 200, d) for d in (4, 6, 8, 12)] + [
+    (d, 8, 200, d + 1000 * seed) for seed in (0, 1) for d in (4, 6, 8, 12)
+]
+LAB_TREES = [(40, 6, 30_040), (60, 6, 30_060), (80, 6, 30_080)]  # random_tree(n, cap, seed)
+
+
+def lab(lemmas=LAB_LEMMAS, trees=LAB_TREES) -> tuple[str, int]:
+    """The digest of the lemma reports and the trees' traced runs, and the
+    record count."""
+    h = hashlib.blake2b(digest_size=16)
+    for delta, trials, rounds, seed in lemmas:
+        argv = ["lowerbound", "lemmas", "--delta", str(delta), "--trials", str(trials),
+                "--rounds", str(rounds), "--seed", str(seed)]
+        h.update(repr((argv, run_cli(argv))).encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, trace = os.path.join(tmp, "graph.txt"), os.path.join(tmp, "trace.txt")
+        for shape in trees:
+            with open(graph, "w", encoding="utf-8") as fh:
+                fh.write(random_tree(*shape).to_text())
+            result = run_cli(["run", graph, "--trace", trace])
+            with open(trace, encoding="utf-8") as fh:
+                h.update(repr((shape, result, fh.read())).encode())
+    return h.hexdigest(), len(lemmas) + len(trees)
+
+
 SETS = {
-    "corpus": (corpus, True),
-    "deep": (deep, False),
-    "dense": (dense, False),
-    "small": (small, False),
-    "repair": (repair, False),
+    "corpus": lambda: digest(corpus(), with_cli=True),
+    "deep": lambda: digest(deep()),
+    "dense": lambda: digest(dense()),
+    "small": lambda: digest(small()),
+    "repair": lambda: digest(repair()),
+    "lab": lab,
 }
 
 
@@ -147,8 +186,7 @@ def main(argv: list[str]) -> int:
         print(f"unknown set(s) {', '.join(unknown)}; choose from {', '.join(SETS)}", file=sys.stderr)
         return 2
     for name in names:
-        graphs, with_cli = SETS[name]
-        value, count = digest(graphs(), with_cli)
+        value, count = SETS[name]()
         print(f"{name} {value} {count}", flush=True)
     return 0
 

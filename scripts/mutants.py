@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL_TESTS = "tests/test_protocol.py::"
 RADIO_TESTS = "tests/test_radio.py::"
 UPPER_SETS_TESTS = "tests/test_upper_sets.py::"
+HISTORY_TESTS = "tests/test_history_lab.py::"
 TIMEOUT_S = 120  # per mutant; the listed tests take a few seconds on the unmutated source
 
 
@@ -161,6 +162,28 @@ MUTANTS = [
         "        if live[v] != declared:\n            return False  # stale\n",
         "        if False:\n            return False  # stale\n",
         [RADIO_TESTS + "test_stalled_run_queries_are_linear_in_the_rounds_resolved"],
+    ),
+    # the one hearing rule, and the lower-bound lab that uses it directly
+    Mutant(
+        "hearing_ignores_collisions",
+        "radio.py",
+        "            heard[w] = COLLIDED if w in heard else v\n",
+        "            heard[w] = v\n",
+        [RADIO_TESTS + "test_resolve_round_counts"],
+    ),
+    Mutant(
+        "lab_transmitter_keeps_what_it_hears",
+        "history_lab.py",
+        "            heard.pop(v, None)  # a transmitter hears nothing\n",
+        "            pass\n",
+        [HISTORY_TESTS + "test_histories_match_the_reference_loop"],
+    ),
+    Mutant(
+        "column_check_skips_different_labels",
+        "history_lab.py",
+        "                        elif not any(map(eq, columns[va], columns[vb])):\n",
+        "                        else:\n",
+        [HISTORY_TESTS + "test_violation_records_name_each_pairs_first_diverging_t"],
     ),
     # a member's block-final account and the report slots
     Mutant(

@@ -16,10 +16,11 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from operator import eq
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graphs import Graph
-from .radio import COLLISION, Heard, Opaque, resolve_round
+from .radio import COLLIDED, hearing
 
 LAMBDA = "lambda"
 STAR = "star"
@@ -80,24 +81,22 @@ Automaton = Callable[[str], bool]
 """History digest -> transmit?  It must be a pure function of the digest:
 `compute_histories` asks it once per history and table."""
 
-_UNSEEN = object()
-
 
 class HistoryTable:
     """Hash-consed history store: equal structures share one integer handle.
 
     A handle's digest is the blake2b of `leaf|label`, `event|digest(prev)`
     or `event|digest(prev)|digest(sub)`.  Beside the digests the table keeps
-    each handle's action under the automaton it last served: the one shared
-    `Opaque(handle)` message the history transmits, None when it listens,
-    or `_UNSEEN` until asked.  Serving a different automaton forgets them.
+    each handle's action under the automaton it last served: True when the
+    history transmits, False when it listens, or None until asked.  Serving
+    a different automaton forgets them.
     """
 
     def __init__(self):
         self._intern: Dict[tuple, int] = {}
         self._digests: List[str] = []
         self._automaton: Optional[Automaton] = None
-        self._actions: List[object] = []
+        self._actions: List[Optional[bool]] = []
 
     def leaf(self, label: str) -> int:
         key = ("leaf", label)
@@ -108,17 +107,17 @@ class HistoryTable:
         hid = len(self._digests)
         self._intern[key] = hid
         self._digests.append(hashlib.blake2b(material.encode(), digest_size=16).hexdigest())
-        self._actions.append(_UNSEEN)
+        self._actions.append(None)
         return hid
 
     def digest(self, hid: int) -> str:
         return self._digests[hid]
 
-    def actions(self, automaton: Automaton) -> List[object]:
+    def actions(self, automaton: Automaton) -> List[Optional[bool]]:
         """The action cache for `automaton`, parallel to the handles."""
         if automaton is not self._automaton:
             self._automaton = automaton
-            self._actions = [_UNSEEN] * len(self._digests)
+            self._actions = [None] * len(self._digests)
         return self._actions
 
 
@@ -145,46 +144,49 @@ def compute_histories(
     Round t+1 actions are the automaton applied to round-t histories; the
     new entry is the transmitter's history when exactly one neighbor
     transmits, a collision mark for two or more, and a silence mark
-    otherwise (transmitters record silence themselves).  The automaton is
-    asked once per distinct history: the table caches its answers, so the
-    members of a family sharing one table share them too.
+    otherwise (transmitters record silence themselves).  The rule is
+    `radio.hearing`, applied to the handles themselves: no message is
+    built.  The automaton is asked once per distinct history: the table
+    caches its answers, so the members of a family sharing one table share
+    them too.  Negative rounds raise ValueError.
     """
+    if rounds < 0:
+        raise ValueError(f"histories need rounds >= 0, got {rounds}")
     table = table if table is not None else HistoryTable()
     g = tree.graph
-    nodes = range(g.n)
-    current = {v: table.leaf(labeling[v]) for v in nodes}
-    out = [current]
+    current = [table.leaf(labeling[v]) for v in range(g.n)]
+    out = [dict(enumerate(current))]
     intern, digests, add = table._intern, table._digests, table._add
     cache = table.actions(automaton)
     for _t in range(rounds):
-        sending = {}
-        for v in nodes:
-            hid = current[v]
+        senders = []
+        for v, hid in enumerate(current):
             act = cache[hid]
-            if act is _UNSEEN:
-                act = cache[hid] = Opaque(hid) if automaton(digests[hid]) else None
-            if act is not None:
-                sending[v] = act
-        obs = resolve_round(g, sending)
-        nxt = {}
-        for v in nodes:
-            prev = current[v]
-            o = obs.get(v)
-            if isinstance(o, Heard):
-                sub = o.message.payload
-                key = (SUB, prev, sub)
-                hid = intern.get(key)
-                if hid is None:
-                    hid = add(key, f"{SUB}|{digests[prev]}|{digests[sub]}")
-            else:
-                event = STAR if o is COLLISION else LAMBDA
+            if act is None:
+                act = cache[hid] = automaton(digests[hid])
+            if act:
+                senders.append(v)
+        heard = hearing(g, senders)
+        for v in senders:
+            heard.pop(v, None)  # a transmitter hears nothing
+        nxt = []
+        for v, prev in enumerate(current):
+            s = heard.get(v)
+            if s is None or s == COLLIDED:
+                event = LAMBDA if s is None else STAR
                 key = (event, prev)
                 hid = intern.get(key)
                 if hid is None:
                     hid = add(key, f"{event}|{digests[prev]}")
-            nxt[v] = hid
+            else:
+                sub = current[s]
+                key = (SUB, prev, sub)
+                hid = intern.get(key)
+                if hid is None:
+                    hid = add(key, f"{SUB}|{digests[prev]}|{digests[sub]}")
+            nxt.append(hid)
         current = nxt
-        out.append(current)
+        out.append(dict(enumerate(current)))
     return out
 
 
@@ -334,11 +336,19 @@ def check_lemmas(
         for tree in family:
             labeling = _random_labeling(range(tree.n), universe, rng)
             hist = compute_histories(tree, labeling, automaton, rounds, table)
+            # each row lists nodes 0..n-1 in order, so column v is node v's handles for t = 0..rounds
+            columns = list(zip(*map(dict.values, hist)))
             for group in (tree.leaves_r, tree.leaves_a):
                 for aa in range(len(group)):
                     for bb in range(aa + 1, len(group)):
                         va, vb = group[aa], group[bb]
                         same_label = labeling[va] == labeling[vb]
+                        # one comparison clears a pair; only a failing one is scanned for its t
+                        if same_label:
+                            if columns[va] == columns[vb]:
+                                continue
+                        elif not any(map(eq, columns[va], columns[vb])):
+                            continue
                         for t in range(rounds + 1):
                             same_hist = hist[t][va] == hist[t][vb]
                             if same_hist != same_label:

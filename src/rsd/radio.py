@@ -5,6 +5,11 @@ listens.  A listener hears a message iff exactly one neighbor transmits;
 two or more transmitting neighbors produce collision noise, zero produce
 silence.  Transmitters learn nothing in their own round.
 
+`hearing` is the one place the 0/1/>=2 rule is written: it maps each
+neighbor of a sender to the one sender it hears, or to COLLIDED.
+`resolve_round` turns that map into one round's observations, and the
+lower-bound lab (`history_lab`) uses it directly on integer handles.
+
 Two engines drive automata over this model, and both resolve rounds
 through `resolve_round`.  `run_scheduled` drives every run: it skips
 globally silent stretches by asking automata when they might transmit
@@ -63,7 +68,8 @@ class Stop:
 
 @dataclass(frozen=True)
 class Opaque:
-    """Arbitrary payload, used by the lower-bound history computations."""
+    """Arbitrary payload for hand-written automata; the protocol sends the
+    messages above, and the lower-bound lab sends integer handles."""
 
     payload: object
 
@@ -98,19 +104,40 @@ class Heard:
 Observation = object  # SILENCE | COLLISION | NOT_LISTENING | Heard
 
 
+COLLIDED = -1
+"""What `hearing` maps a node to when two or more of its neighbors send."""
+
+
+def hearing(g: Graph, senders: Iterable[int]) -> Dict[int, int]:
+    """The 0/1/>=2 transmitter rule: every neighbor of a sender, mapped to
+    the one sender it hears, or to COLLIDED when two or more of its
+    neighbors send.  A node absent from the result hears silence.  A sender
+    with sending neighbors is mapped too: what it makes of that is the
+    caller's business (a transmitter hears nothing in its own round).
+    Keys follow `senders`, then each sender's adjacency order.
+    """
+    heard: Dict[int, int] = {}
+    for v in senders:
+        for w in g.adj[v]:
+            heard[w] = COLLIDED if w in heard else v
+    return heard
+
+
 def resolve_round(g: Graph, actions: Dict[int, Optional[Message]]) -> Dict[int, Observation]:
-    """Apply the 0/1/>=2 transmitter rule to one round of actions.
+    """Apply the 0/1/>=2 transmitter rule (`hearing`) to one round of actions.
 
     `actions[v]` is the message v transmits, or None to listen; nodes absent
     from `actions` listen too.  Returns the observation of every node in
     `actions` and of every neighbor of a transmitter; any other node hears
-    silence.
+    silence.  The listeners of one transmitter share one `Heard`.
     """
-    obs: Dict[int, Observation] = {}
+    said: Dict[int, Heard] = {}
     for v, msg in actions.items():
         if msg is not None:
-            for w in g.adj[v]:
-                obs[w] = COLLISION if w in obs else Heard(msg)
+            said[v] = Heard(msg)
+    obs: Dict[int, Observation] = {}
+    for w, s in hearing(g, said).items():
+        obs[w] = COLLISION if s == COLLIDED else said[s]
     for v, msg in actions.items():
         if msg is not None:
             obs[v] = NOT_LISTENING
@@ -186,17 +213,16 @@ class SimulationTrace:
     def format_text(self) -> str:
         """Trace file format: `round node action observation` per line, for
         rounds 1..last and nodes 0..n-1."""
-        silent = "".join(f"{{0}} {v} L S\n" for v in range(self.n))
+        silent = [""] + [f" {v} L S\n" for v in range(self.n)]
         chunks = []
         for r in range(1, self.last + 1):
-            text = silent.format(r)
+            tails = silent
             if r in self.rounds:
                 actions, obs = self.rounds[r]
-                lines = text.splitlines(keepends=True)
+                tails = silent.copy()
                 for v, o in obs.items():  # every node that acted or heard anything
-                    lines[v] = f"{r} {v} {_action_str(actions.get(v))} {_obs_str(o)}\n"
-                text = "".join(lines)
-            chunks.append(text)
+                    tails[v + 1] = f" {v} {_action_str(actions.get(v))} {_obs_str(o)}\n"
+            chunks.append(str(r).join(tails))  # each tail after its round number
         return "".join(chunks)
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from test_acceptance import pattern_bound_second_path
 
+from rsd import history_lab
 from rsd.generators import family_member
 from rsd.history_lab import (
     LAMBDA,
@@ -354,3 +355,65 @@ def test_scheme_leaves_with_equal_labels_are_indistinguishable():
                             assert actions.get(va) == actions.get(vb), (delta, tree.i, r)
                             assert obs.get(va, SILENCE) == obs.get(vb, SILENCE), (delta, tree.i, r)
     assert pairs > 0
+
+
+def test_histories_refuse_negative_rounds():
+    tree = family_tree(4, 2)
+    labeling = {v: "" for v in range(tree.n)}
+    with pytest.raises(ValueError, match="rounds >= 0, got -3"):
+        compute_histories(tree, labeling, seeded_automaton(1), -3)
+    assert len(compute_histories(tree, labeling, seeded_automaton(1), 0)) == 1
+
+
+def _first_t_per_pair(calls, rounds):
+    """Lemma 1's records by the plain loop: each leaf pair's first t at which
+    history equality and label equality disagree."""
+    records = []
+    for trial, tree, labeling, hist in calls:
+        for group in (tree.leaves_r, tree.leaves_a):
+            for k, va in enumerate(group):
+                for vb in group[k + 1:]:
+                    same_label = labeling[va] == labeling[vb]
+                    for t in range(rounds + 1):
+                        if (hist[t][va] == hist[t][vb]) != same_label:
+                            records.append({"lemma": "leaf-indistinguishability", "trial": trial,
+                                            "tree_i": tree.i, "nodes": [va, vb], "t": t})
+                            break
+    return records
+
+
+def test_violation_records_name_each_pairs_first_diverging_t(monkeypatch):
+    # forged histories: in every lemma-1 run the first same-label pair of R
+    # splits at t = 7, and the first different-label pair of R meets at t = 11
+    delta, trials, rounds = 12, 2, 20
+    real = history_lab.compute_histories
+    calls, forged = [], []
+    per_trial = len(build_family(delta)) + sum(t.i >= 2 for t in build_family(delta))
+
+    def forge(tree, labeling, automaton, rounds, table=None):
+        hist = real(tree, labeling, automaton, rounds, table)
+        trial, step = divmod(len(calls), per_trial)
+        if step < len(build_family(delta)):  # a lemma-1 run; the rest are lemma 2's
+            leaves = tree.leaves_r
+            pairs = [(a, b) for k, a in enumerate(leaves) for b in leaves[k + 1:]]
+            same = next((a, b) for a, b in pairs if labeling[a] == labeling[b])
+            other = next((a, b) for a, b in pairs if labeling[a] != labeling[b])
+            for t in range(7, rounds + 1):
+                hist[t][same[1]] = -1 - t  # no real handle
+            for t in range(11, rounds + 1):
+                hist[t][other[1]] = hist[t][other[0]]
+            forged.append({"trial": trial, "tree_i": tree.i, "nodes": list(same), "t": 7})
+            forged.append({"trial": trial, "tree_i": tree.i, "nodes": list(other), "t": 11})
+            calls.append((trial, tree, labeling, hist))
+        else:
+            calls.append(None)
+        return hist
+
+    monkeypatch.setattr(history_lab, "compute_histories", forge)
+    report = check_lemmas(delta, trials=trials, rounds=rounds, seed=5)
+    leaf = [v for v in report["violations"] if v["lemma"] == "leaf-indistinguishability"]
+    assert leaf == _first_t_per_pair([c for c in calls if c is not None], rounds)
+    for record in forged:
+        assert dict(record, lemma="leaf-indistinguishability") in leaf
+    assert len(forged) == 2 * trials * len(build_family(delta))
+    assert [v for v in report["violations"] if v not in leaf] == []

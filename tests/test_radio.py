@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 from rsd import radio
 from rsd.generators import path, random_connected_graph, star
 from rsd.graphs import Graph
+from rsd.protocol import run_protocol
 from rsd.radio import (
+    COLLIDED,
     COLLISION,
     NOT_LISTENING,
     SILENCE,
@@ -12,6 +14,7 @@ from rsd.radio import (
     Opaque,
     SimulationError,
     SimulationTrace,
+    hearing,
     resolve_round,
     run,
     run_scheduled,
@@ -99,6 +102,39 @@ def test_trace_format():
     assert lines[0] == "1 0 T:Opaque -"
     assert lines[1] == "1 1 L H:Opaque"
     assert lines[2] == "2 0 L S"
+
+
+def _format_text_reference(trace):
+    """The trace text by one `str.format` template of n lines per round."""
+    silent = "".join(f"{{0}} {v} L S\n" for v in range(trace.n))
+    chunks = []
+    for r in range(1, trace.last + 1):
+        text = silent.format(r)
+        if r in trace.rounds:
+            actions, obs = trace.rounds[r]
+            lines = text.splitlines(keepends=True)
+            for v, o in obs.items():
+                lines[v] = f"{r} {v} {radio._action_str(actions.get(v))} {radio._obs_str(o)}\n"
+            text = "".join(lines)
+        chunks.append(text)
+    return "".join(chunks)
+
+
+def test_trace_text_matches_the_template_formatter():
+    msg = Opaque("m")
+    empty = SimulationTrace(3)
+    assert empty.format_text() == _format_text_reference(empty) == ""
+    pair = SimulationTrace(2)  # n = 2, and `last` past the final recorded round
+    pair.record(2, {0: msg}, {0: NOT_LISTENING, 1: Heard(msg)})
+    pair.last = 12
+    assert pair.format_text() == _format_text_reference(pair)
+    assert pair.format_text().splitlines()[-1] == "12 1 L S"
+    sparse = SimulationTrace(5)  # nodes 0, 3 and 4 missing from round 3
+    sparse.record(3, {1: msg, 2: None}, {2: COLLISION, 1: NOT_LISTENING})
+    sparse.record(11, {4: msg}, {4: NOT_LISTENING, 3: Heard(msg)})
+    assert sparse.format_text() == _format_text_reference(sparse)
+    res = run_protocol(path(7), record_trace=True)
+    assert res.trace.format_text() == _format_text_reference(res.trace)
 
 
 def test_run_reports_failing_node_and_round():
@@ -231,25 +267,64 @@ def test_a_timer_that_keeps_moving_on_cannot_hold_the_run_past_the_cap():
     assert autos[1].alarm == 110  # never asked at its due round past the cap
 
 
-@given(st.integers(2, 8), st.data())
-def test_resolve_round_counts(n, data):
-    edges = [(i, i + 1) for i in range(n - 1)]
-    g = Graph.from_edges(n, edges)
+@st.composite
+def small_connected_graphs(draw, min_n=2, max_n=10):
+    """A random spanning tree on 2..10 nodes plus random extra edges."""
+    n = draw(st.integers(min_n, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for a, b in draw(st.lists(pairs, max_size=2 * n)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def _reference_round(g, actions):
+    """Observations by counting each node's transmitting neighbors, keyed as
+    `resolve_round` keys them: transmitters' neighbors first, in the order
+    the transmitters and their adjacency lists give, then the other given
+    nodes."""
+    order = []
+    for v, msg in actions.items():
+        if msg is not None:
+            order += [w for w in g.adj[v] if w not in order]
+    order += [v for v in actions if v not in order]
+    obs = {}
+    for v in order:
+        talkers = [w for w in g.adj[v] if actions.get(w) is not None]
+        if actions.get(v) is not None:
+            obs[v] = NOT_LISTENING
+        elif len(talkers) == 1:
+            obs[v] = Heard(actions[talkers[0]])
+        else:
+            obs[v] = SILENCE if not talkers else COLLISION
+    return obs
+
+
+@given(small_connected_graphs(), st.data())
+def test_resolve_round_counts(g, data):
+    n = g.n
     transmit = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    actions = {v: (Opaque(str(v)) if transmit[v] else None) for v in range(n)}
-    obs = resolve_round(g, actions)
+    senders = data.draw(st.permutations([v for v in range(n) if transmit[v]]))
+    heard = hearing(g, senders)
     for v in range(n):
         talkers = [w for w in g.adj[v] if transmit[w]]
-        if transmit[v]:
-            assert obs[v] is NOT_LISTENING
-        elif len(talkers) == 1:
-            assert obs[v] == Heard(Opaque(str(talkers[0])))
+        if not talkers:
+            assert v not in heard
         else:
-            assert obs[v] is (SILENCE if not talkers else COLLISION)
+            assert heard[v] == (talkers[0] if len(talkers) == 1 else COLLIDED)
+    actions = {v: (Opaque(str(v)) if transmit[v] else None) for v in data.draw(st.permutations(range(n)))}
+    obs = resolve_round(g, actions)
+    assert list(obs.items()) == list(_reference_round(g, actions).items())
+    for v in range(n):
+        for w in range(n):
+            if isinstance(obs[v], Heard) and obs[v] == obs[w]:
+                assert obs[v] is obs[w]  # one Heard per transmitter
     # absent nodes listen: every transmitter plus some listeners
     keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     partial = {v: msg for v, msg in actions.items() if msg is not None or keep[v]}
     part_obs = resolve_round(g, partial)
+    assert list(part_obs.items()) == list(_reference_round(g, partial).items())
     assert set(partial) <= set(part_obs)
     for v in range(n):
         if v in part_obs:
