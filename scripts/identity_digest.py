@@ -1,4 +1,4 @@
-"""Byte-identity digests of rsd's outputs on five fixed sets.
+"""Byte-identity digests of rsd's outputs on six fixed sets.
 
 Run it with the checkout to examine on the path, once per checkout, and
 compare the printed lines; equal digests mean byte-identical outputs:

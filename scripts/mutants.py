@@ -132,6 +132,21 @@ MUTANTS = [
         "else d < 2 * self.h - 1):",
         [PROTOCOL_TESTS + "test_star4_run_and_phase_weights"],
     ),
+    # a heard message is a pulse only if it is one, and any other marks the listener
+    Mutant(
+        "typed_message_not_marked",
+        "protocol.py",
+        "            listener.typed_message(r)\n",
+        "            pass\n",
+        [PROTOCOL_TESTS + "test_a_typed_message_heard_inside_a_wave_refuses_it"],
+    ),
+    Mutant(
+        "any_message_is_a_pulse",
+        "protocol.py",
+        "    return obs is COLLISION or isinstance(obs, WavePulse)\n",
+        "    return obs is not SILENCE\n",
+        [PROTOCOL_TESTS + "test_a_typed_message_heard_inside_a_wave_refuses_it"],
+    ),
     # the pulse window's cuts
     Mutant(
         "window_not_cut_at_reaction",

@@ -138,8 +138,9 @@ def compute_histories(
     automaton: Automaton,
     rounds: int,
     table: Optional[HistoryTable] = None,
-) -> List[Dict[int, int]]:
-    """Histories of every node for t = 0..rounds, as interned handles.
+) -> List[List[int]]:
+    """Histories of every node for t = 0..rounds, as interned handles: row t
+    lists nodes 0..n-1 in order.
 
     Round t+1 actions are the automaton applied to round-t histories; the
     new entry is the transmitter's history when exactly one neighbor
@@ -155,7 +156,7 @@ def compute_histories(
     table = table if table is not None else HistoryTable()
     g = tree.graph
     current = [table.leaf(labeling[v]) for v in range(g.n)]
-    out = [dict(enumerate(current))]
+    out = [current]
     intern, digests, add = table._intern, table._digests, table._add
     cache = table.actions(automaton)
     for _t in range(rounds):
@@ -186,7 +187,7 @@ def compute_histories(
                     hid = add(key, f"{SUB}|{digests[prev]}|{digests[sub]}")
             nxt.append(hid)
         current = nxt
-        out.append(dict(enumerate(current)))
+        out.append(current)
     return out
 
 
@@ -336,8 +337,7 @@ def check_lemmas(
         for tree in family:
             labeling = _random_labeling(range(tree.n), universe, rng)
             hist = compute_histories(tree, labeling, automaton, rounds, table)
-            # each row lists nodes 0..n-1 in order, so column v is node v's handles for t = 0..rounds
-            columns = list(zip(*map(dict.values, hist)))
+            columns = list(zip(*hist))  # column v: node v's handles for t = 0..rounds
             for group in (tree.leaves_r, tree.leaves_a):
                 for aa in range(len(group)):
                     for bb in range(aa + 1, len(group)):

@@ -25,7 +25,7 @@ class LabelFormatError(ValueError):
     """Raised when an encoded label cannot be decoded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tag:
     """One (id, bit) tag; id 0 means inactive."""
 
@@ -39,7 +39,7 @@ class Tag:
 ZERO_TAG = Tag(0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     """Markers M(0..6) plus the three tags."""
 

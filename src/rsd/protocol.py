@@ -1,7 +1,8 @@
 """The size discovery automaton and its orchestrator.
 
 Every node runs the same deterministic machine driven solely by its label
-and what it hears, in three procedures:
+and what it hears (per round: silence, collision noise, or the message
+object itself when one neighbor sends), in three procedures:
 
 1. Parameter learning: degree-learning tags reach the root, which floods
    the maximum degree; nodes date their level from the flood's arrival, the
@@ -49,13 +50,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .graphs import Graph, LevelDecomposition, decompose
-from .labels import Label, LabelingScheme, assign_labels
+from .labels import Label, LabelingScheme, assign_labels, decode_label
 from .radio import (
     COLLISION,
     NOT_LISTENING,
+    SILENCE,
     CollisionTagMsg,
     DeltaLearn,
-    Heard,
     HopValue,
     Message,
     Observation,
@@ -162,9 +163,8 @@ class WaveListener:
     follows the last clean typed message, fits MAX_WAVE_BITS and spans
     whole pairs; starts whose pattern wave_decode would reject are skipped.
     The validator gets (value, finish_round) and accepts by returning a
-    context dict, to which the listener adds the value, the round and the
-    start; since it checks exact round arithmetic, only the true alignment
-    is accepted.
+    context dict, to which the listener adds the value and the start; since
+    it checks exact round arithmetic, only the true alignment is accepted.
     Rounds the node spent transmitting count as silent.  A listener serves
     one wave: `SizeDiscoveryNode.observe` drops it once it has accepted one.
     """
@@ -207,7 +207,6 @@ class WaveListener:
             got = self.validator(value, r)
             if got is not None:
                 got["value"] = value
-                got["round"] = r
                 got["start"] = cands[i]
                 return got
             value -= 1 << ((r - 1 - cands[i]) // 2 - 1)
@@ -218,7 +217,7 @@ class WaveListener:
 
 def _is_pulse(obs: Observation) -> bool:
     """Collision noise sounds the same as a wave pulse."""
-    return obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, WavePulse))
+    return obs is COLLISION or isinstance(obs, WavePulse)
 
 
 class SizeDiscoveryNode:
@@ -303,7 +302,7 @@ class SizeDiscoveryNode:
                 self._listener = self._on_wave = None
                 self._relay(r, got, listener.cands)
                 on_wave(r, got)
-        elif isinstance(obs, Heard):
+        elif obs is not SILENCE:  # a message other than a pulse
             listener.typed_message(r)
 
     def next_transmit_round(self, r: int) -> Optional[int]:
@@ -490,8 +489,8 @@ class SizeDiscoveryNode:
     # -- stage: root collecting degree tags --
 
     def _obs_root_collect(self, r: int, obs: Observation) -> None:
-        if isinstance(obs, Heard) and isinstance(obs.message, DeltaLearn):
-            tag = obs.message.tag
+        if isinstance(obs, DeltaLearn):
+            tag = obs.tag
             if tag.id != r:
                 self._desync(f"degree tag id {tag.id} arrived in round {r}", r)
             self._delta_bits[tag.id] = tag.bit
@@ -512,8 +511,8 @@ class SizeDiscoveryNode:
             self._enter("root_await_hop", self._obs_root_await_hop)
 
     def _obs_root_await_hop(self, r: int, obs: Observation) -> None:
-        if isinstance(obs, Heard) and isinstance(obs.message, HopValue):
-            x = obs.message.value
+        if isinstance(obs, HopValue):
+            x = obs.value
             expected = depth_report_round(self.delta, x)
             if r != expected:
                 self._desync(f"depth report {x} arrived in round {r}, expected {expected}", r)
@@ -539,8 +538,8 @@ class SizeDiscoveryNode:
         self._await("wave_h", self._validate_h_wave, self._got_h)
 
     def _obs_await_hop(self, r: int, obs: Observation) -> None:
-        if isinstance(obs, Heard) and isinstance(obs.message, HopValue):
-            self.h = obs.message.value
+        if isinstance(obs, HopValue):
+            self.h = obs.value
             self._schedule(r + 1, HopValue(self.h))
             self._await("wave_h", self._validate_h_wave, self._got_h)
 
@@ -619,7 +618,7 @@ class SizeDiscoveryNode:
         off = r - self.t2p
         if off <= 0 or off % self.tau != 0:
             return  # mid-block traffic belongs to members
-        if obs is COLLISION or (isinstance(obs, Heard) and isinstance(obs.message, Stop)):
+        if obs is COLLISION or isinstance(obs, Stop):
             self._event("child_complete", self.phase, r)
             self._timer = None  # no next block
             self._await("await_phase_end", self._validate_t_wave, self._got_t)
@@ -636,26 +635,24 @@ class SizeDiscoveryNode:
         if off <= self.m:
             if obs is COLLISION:
                 self._window_clean = False
-            elif isinstance(obs, Heard):
-                msg = obs.message
-                if not isinstance(msg, CollisionTagMsg):
-                    self._desync(f"unexpected {type(msg).__name__} in tag slots", r)
-                if msg.tag.id != off:
-                    self._desync(f"tag id {msg.tag.id} heard in slot {off}", r)
-                self._tags_heard[msg.tag.id] = msg.tag.bit
+            elif obs is not SILENCE:
+                if not isinstance(obs, CollisionTagMsg):
+                    self._desync(f"unexpected {type(obs).__name__} in tag slots", r)
+                if obs.tag.id != off:
+                    self._desync(f"tag id {obs.tag.id} heard in slot {off}", r)
+                self._tags_heard[obs.tag.id] = obs.tag.bit
         elif off < self.tau:
             if obs is COLLISION:
                 self._window_clean = False
-            elif isinstance(obs, Heard):
-                msg = obs.message
-                if not isinstance(msg, WeightReport):
-                    self._desync(f"unexpected {type(msg).__name__} in report slots", r)
-                expected = report_slot(self.m, msg.weight, msg.tag.id)
-                if not (1 <= msg.weight <= self.x_i) or off != expected:
+            elif obs is not SILENCE:
+                if not isinstance(obs, WeightReport):
+                    self._desync(f"unexpected {type(obs).__name__} in report slots", r)
+                expected = report_slot(self.m, obs.weight, obs.tag.id)
+                if not (1 <= obs.weight <= self.x_i) or off != expected:
                     self._desync(
-                        f"weight report ({msg.tag.id}, w={msg.weight}) in slot {off}", r
+                        f"weight report ({obs.tag.id}, w={obs.weight}) in slot {off}", r
                     )
-                self._reports_heard.setdefault(msg.weight, {})[msg.tag.id] = msg.tag.bit
+                self._reports_heard.setdefault(obs.weight, {})[obs.tag.id] = obs.tag.bit
 
     def _on_block_end(self, r: int) -> None:
         """Block-final decision, due before round r is decided: adopt the
@@ -757,10 +754,12 @@ def round_cap_multiplier() -> int:
 def run_protocol(g: Graph, record_trace: bool = False, record_events: bool = False) -> ProtocolResult:
     """Label the graph, run size discovery, and audit the outputs against n.
 
-    The audit reads only each node's `output` and `done`.  `record_trace`
-    keeps every resolved round, and `record_events` keeps each node's event
-    log (see `SizeDiscoveryNode`); the log grows by about four events per
-    node and phase, so a run without it holds O(1) state per node.
+    Each node boots from its encoded bits, as the paper's node does: every
+    distinct label string is decoded once.  The audit reads only each node's
+    `output` and `done`.  `record_trace` keeps every resolved round, and
+    `record_events` keeps each node's event log (see `SizeDiscoveryNode`);
+    the log grows by about four events per node and phase, so a run without
+    it holds O(1) state per node.
     """
     if g.n < 2:
         raise ValueError("size discovery requires n >= 2: the root must have a neighbor")
@@ -769,7 +768,8 @@ def run_protocol(g: Graph, record_trace: bool = False, record_events: bool = Fal
     weights = compute_weights(plan, d)
     scheme = assign_labels(g, d, plan, weights)
     cap = round_cap_multiplier() * g.diameter() * g.n * g.n * bitlen(d.delta)
-    nodes = {v: SizeDiscoveryNode(scheme.labels[v], v, record_events) for v in range(g.n)}
+    labels = {bits: decode_label(bits) for bits in set(scheme.encoded.values())}
+    nodes = {v: SizeDiscoveryNode(labels[scheme.encoded[v]], v, record_events) for v in range(g.n)}
 
     failure = None
     trace = SimulationTrace(g.n) if record_trace else None

@@ -3,7 +3,9 @@
 Model: in each round every node either transmits to all neighbors or
 listens.  A listener hears a message iff exactly one neighbor transmits;
 two or more transmitting neighbors produce collision noise, zero produce
-silence.  Transmitters learn nothing in their own round.
+silence.  Transmitters learn nothing in their own round.  So a node's
+observation of a round is one of three marks (SILENCE, COLLISION,
+NOT_LISTENING) or the message it heard, the sender's own message object.
 
 `hearing` is the one place the 0/1/>=2 rule is written: it maps each
 neighbor of a sender to the one sender it hears, or to COLLIDED.
@@ -66,14 +68,6 @@ class Stop:
     """End-of-accounting signal from an upper-set member to its children."""
 
 
-@dataclass(frozen=True)
-class Opaque:
-    """Arbitrary payload for hand-written automata; the protocol sends the
-    messages above, and the lower-bound lab sends integer handles."""
-
-    payload: object
-
-
 Message = object  # union of the frozen dataclasses above
 
 
@@ -96,12 +90,7 @@ COLLISION = _Mark("CollisionNoise")
 NOT_LISTENING = _Mark("NotListening")
 
 
-@dataclass(frozen=True)
-class Heard:
-    message: Message
-
-
-Observation = object  # SILENCE | COLLISION | NOT_LISTENING | Heard
+Observation = object  # SILENCE | COLLISION | NOT_LISTENING | the Message heard
 
 
 COLLIDED = -1
@@ -129,15 +118,13 @@ def resolve_round(g: Graph, actions: Dict[int, Optional[Message]]) -> Dict[int, 
     `actions[v]` is the message v transmits, or None to listen; nodes absent
     from `actions` listen too.  Returns the observation of every node in
     `actions` and of every neighbor of a transmitter; any other node hears
-    silence.  The listeners of one transmitter share one `Heard`.
+    silence.  A node that hears one sender observes that sender's message
+    object itself.
     """
-    said: Dict[int, Heard] = {}
-    for v, msg in actions.items():
-        if msg is not None:
-            said[v] = Heard(msg)
+    senders = [v for v, msg in actions.items() if msg is not None]
     obs: Dict[int, Observation] = {}
-    for w, s in hearing(g, said).items():
-        obs[w] = COLLISION if s == COLLIDED else said[s]
+    for w, s in hearing(g, senders).items():
+        obs[w] = COLLISION if s == COLLIDED else actions[s]
     for v, msg in actions.items():
         if msg is not None:
             obs[v] = NOT_LISTENING
@@ -152,11 +139,11 @@ class Automaton(Protocol):
     """Deterministic per-node step machine.
 
     decide(r) returns the action for round r; its knowledge is everything
-    observed in rounds < r.  observe(r, obs) delivers round r's observation.
-    Rounds not delivered via observe were silent (or the node transmitted,
-    which it knows).  done is terminal.  next_transmit_round(r) names the
-    earliest round >= r in which the node may transmit, or None; it may run
-    the automaton's timers due by round r.
+    observed in rounds < r.  observe(r, obs) delivers round r's observation:
+    a mark, or the message heard.  Rounds not delivered via observe were
+    silent (or the node transmitted, which it knows).  done is terminal.
+    next_transmit_round(r) names the earliest round >= r in which the node
+    may transmit, or None; it may run the automaton's timers due by round r.
 
     Three optional methods let `run_scheduled` resolve pulse windows; an
     automaton without them always goes round by round.  train(r), asked
@@ -237,7 +224,7 @@ def _obs_str(obs: Observation) -> str:
         return "C"
     if obs is NOT_LISTENING:
         return "-"
-    return f"H:{type(obs.message).__name__}"
+    return f"H:{type(obs).__name__}"
 
 
 def _fault(exc: Exception, method: str, r: int, v: int) -> NoReturn:

@@ -8,7 +8,7 @@ from rsd import cli, protocol, radio
 from rsd.cli import MAX_BETA, main
 from rsd.graphs import Graph, parse_graph
 from rsd.history_lab import pattern_bound
-from rsd.labels import Tag
+from rsd.labels import Tag, encode_label
 from rsd.protocol import SizeDiscoveryNode, run_protocol
 
 
@@ -289,15 +289,15 @@ def test_run_exit_one_on_cap_exhaustion(tmp_path, monkeypatch):
 
 def test_run_names_the_stage_when_the_degree_tags_spell_zero(tmp_path, monkeypatch, capsys):
     # on path(5) the root (node 1) learns the degree 2 = 10 from learner 0's
-    # l1 bit 1 and learner 2's bit 0; with learner 0's bit flipped the tags
-    # spell 0
+    # l1 bit 1 and learner 2's bit 0; with learner 0's bit flipped in the
+    # bits it boots from, the tags spell 0
     real = protocol.assign_labels
 
     def flipped(*args):
         scheme = real(*args)
         label = scheme.labels[0]
         assert label.l1 == Tag(1, 1)
-        scheme.labels[0] = dataclasses.replace(label, l1=Tag(1, 0))
+        scheme.encoded[0] = encode_label(dataclasses.replace(label, l1=Tag(1, 0)))
         return scheme
 
     monkeypatch.setattr(protocol, "assign_labels", flipped)

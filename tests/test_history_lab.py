@@ -3,6 +3,7 @@ import random
 
 import pytest
 from test_acceptance import pattern_bound_second_path
+from test_radio import Opaque
 
 from rsd import history_lab
 from rsd.generators import family_member
@@ -23,7 +24,7 @@ from rsd.history_lab import (
     seeded_automaton,
 )
 from rsd.protocol import run_protocol
-from rsd.radio import COLLISION, SILENCE, Heard, Opaque, resolve_round
+from rsd.radio import COLLISION, SILENCE, resolve_round
 
 
 def test_family_delta4():
@@ -77,10 +78,10 @@ def test_all_listen_histories_are_label_then_silences():
     labeling = {v: "x" for v in range(tree.n)}
     hist = compute_histories(tree, labeling, lambda digest: False, 5)
     table = HistoryTable()
-    assert len({h for h in hist[0].values()}) == 1
+    assert len({h for h in hist[0]}) == 1
     # every node's history evolves identically: one shared handle per round
     for t in range(6):
-        assert len(set(hist[t].values())) == 1
+        assert len(set(hist[t])) == 1
 
 
 def test_round_zero_is_the_label():
@@ -89,7 +90,7 @@ def test_round_zero_is_the_label():
     hist = compute_histories(tree, labeling, seeded_automaton(1), 0)
     assert len(hist) == 1
     groups = {}
-    for v, h in hist[0].items():
+    for v, h in enumerate(hist[0]):
         groups.setdefault(labeling[v], set()).add(h)
     for hs in groups.values():
         assert len(hs) == 1
@@ -239,7 +240,7 @@ class _ReferenceTable:
 def _reference_histories(tree, labeling, automaton, rounds, table):
     """One automaton call per node and round, one table call per new entry."""
     g = tree.graph
-    current = {v: table.leaf(labeling[v]) for v in range(g.n)}
+    current = [table.leaf(labeling[v]) for v in range(g.n)]
     out = [current]
     for _t in range(rounds):
         actions = {
@@ -247,15 +248,15 @@ def _reference_histories(tree, labeling, automaton, rounds, table):
             for v in range(g.n)
         }
         obs = resolve_round(g, actions)
-        nxt = {}
+        nxt = []
         for v in range(g.n):
             o = obs[v]
-            if isinstance(o, Heard):
-                nxt[v] = table.extend(current[v], SUB, o.message.payload)
+            if isinstance(o, Opaque):
+                nxt.append(table.extend(current[v], SUB, o.payload))
             elif o is COLLISION:
-                nxt[v] = table.extend(current[v], STAR)
+                nxt.append(table.extend(current[v], STAR))
             else:
-                nxt[v] = table.extend(current[v], LAMBDA)
+                nxt.append(table.extend(current[v], LAMBDA))
         current = nxt
         out.append(current)
     return out
@@ -265,9 +266,7 @@ def _assert_same_histories(hist, table, ref, ref_table):
     assert len(hist) == len(ref)
     for t, (now, then) in enumerate(zip(hist, ref)):
         assert now == then, t
-        assert [table.digest(h) for h in now.values()] == [
-            ref_table.digest(h) for h in then.values()
-        ], t
+        assert [table.digest(h) for h in now] == [ref_table.digest(h) for h in then], t
 
 
 def _automata(rng):
@@ -277,7 +276,7 @@ def _automata(rng):
     for tree in build_family(6):
         labeling = {v: rng.choice(label_universe(1)) for v in range(tree.n)}
         for now in _reference_histories(tree, labeling, seeded_automaton(7), 12, probe):
-            chosen.update(probe.digest(h) for h in now.values() if rng.random() < 0.5)
+            chosen.update(probe.digest(h) for h in now if rng.random() < 0.5)
     return [seeded_automaton(rng.getrandbits(32)), lambda digest: False, chosen.__contains__]
 
 

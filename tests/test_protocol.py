@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 from bisect import bisect_left
@@ -9,7 +10,7 @@ from test_graphs import connected_graphs
 from rsd import protocol, radio
 from rsd.generators import path, random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
-from rsd.labels import Label, Tag, make_markers
+from rsd.labels import Label, Tag, decode_label, make_markers
 from rsd.protocol import (
     MAX_WAVE_BITS,
     MalformedWaveError,
@@ -131,6 +132,24 @@ def test_single_node_rejected():
         run_protocol(g)
 
 
+def test_nodes_boot_from_their_encoded_bits(monkeypatch):
+    # the oracle's Label objects are wiped; only the encoded bits are intact
+    real, decoded = protocol.assign_labels, []
+
+    def wiped(*args):
+        scheme = real(*args)
+        return dataclasses.replace(scheme, labels={v: Label(make_markers()) for v in scheme.labels})
+
+    monkeypatch.setattr(protocol, "assign_labels", wiped)
+    monkeypatch.setattr(protocol, "decode_label", lambda bits: decoded.append(bits) or decode_label(bits))
+    g = random_tree(40, 4, 3)
+    res = run_protocol(g)
+    assert res.ok and set(res.outputs.values()) == {g.n}
+    assert sorted(decoded) == sorted(set(res.scheme.encoded.values()))  # each distinct label once
+    for v in range(g.n):
+        assert res.nodes[v].label == decode_label(res.scheme.encoded[v]) != res.scheme.labels[v]
+
+
 def _reference_run(g, res):
     """The reference engine on a protocol run's labels and round cap:
     (nodes, trace, rounds_used)."""
@@ -184,9 +203,9 @@ def test_a_run_without_the_event_log_holds_constant_state_per_node():
 def test_root_refuses_a_degree_of_zero():
     # tags spelling 0 are no degree: the root stops in its own stage
     root = SizeDiscoveryNode(Label(make_markers(0), l1=Tag(2, 0)), node_id=1)
-    root.observe(1, radio.Heard(radio.DeltaLearn(Tag(1, 0))))
+    root.observe(1, radio.DeltaLearn(Tag(1, 0)))
     with pytest.raises(ProtocolDesyncError) as err:
-        root.observe(2, radio.Heard(radio.DeltaLearn(Tag(2, 0))))
+        root.observe(2, radio.DeltaLearn(Tag(2, 0)))
     assert err.value.stage == "root_collect"
     assert (err.value.round_no, err.value.node) == (2, 1)
     assert "degree 0 does not fit its own bit count" in str(err.value)
@@ -325,11 +344,16 @@ def test_phase_wave_distance_matches_bfs():
             assert events[0][4] == dist[v], (v, i)
 
 
-def test_cap_multiplier_override(monkeypatch):
+@pytest.mark.parametrize(
+    "leaves, cap",
+    # 1 * D * n^2 * m rounds is too few to finish: 1 * 4 * 1 = 4 and 2 * 9 * 2 = 36
+    [(1, 1 * 1 * 4 * 1), (2, 36)],
+    ids=["star1", "star2"],
+)
+def test_cap_multiplier_override(monkeypatch, leaves, cap):
     monkeypatch.setattr(protocol, "round_cap_multiplier", lambda: 1)
-    res = run_protocol(star(2))
-    # 1 * D * n^2 * m = 2 * 9 * 2 = 36 rounds is too few to finish
-    assert res.round_cap == 36
+    res = run_protocol(star(leaves))
+    assert res.round_cap == cap
     assert not res.ok
     assert "cap" in (res.failure or "")
 
@@ -376,14 +400,6 @@ def test_fault_in_next_transmit_round_is_a_run_failure(monkeypatch):
     assert res.failure.startswith(f"round {t1 + 1}, node ")
     assert "automaton failed in next_transmit_round: injected fault" in res.failure
     assert res.rounds_used == t1 + 1
-
-
-def test_round_cap_env_override(monkeypatch):
-    monkeypatch.setattr(protocol, "round_cap_multiplier", lambda: 1)
-    res = run_protocol(star(1))
-    assert res.round_cap == 1 * 1 * 4 * 1
-    assert not res.ok
-    assert "cap" in (res.failure or "")
 
 
 @given(st.text(alphabet="01", min_size=0, max_size=40))
@@ -525,14 +541,15 @@ def test_exhaustive_small_world():
 
 def _drive_listener(listener, schedule, start, end):
     """Feed rounds start..end: schedule maps round -> 'pulse'|'typed'; the
-    other rounds are silent, which the listener is not told."""
-    hits = []
+    other rounds are silent, which the listener is not told.  Returns each
+    accepted wave keyed by the round of the pulse that returned it."""
+    hits = {}
     for r in range(start, end + 1):
         kind = schedule.get(r)
         if kind == "pulse":
             got = listener.pulse(r)
             if got:
-                hits.append(got)
+                hits[r] = got
         elif kind == "typed":
             listener.typed_message(r)
     return hits
@@ -643,7 +660,7 @@ def test_completed_child_leaves_no_timer_armed():
     assert node.decide(202) == radio.CollisionTagMsg(tag)
     # while the member has not stopped, the tag repeats from the next block's first round
     assert node.next_transmit_round(212) == 214
-    node.observe(213, radio.Heard(radio.Stop()))
+    node.observe(213, radio.Stop())
     assert node.stage == "await_phase_end"
     assert node.next_transmit_round(213) is None
     assert node._timer is None
@@ -657,8 +674,8 @@ def test_member_without_an_account_retries_one_block_later():
     assert node.decide(213) is None and node.stage == "member_blocks"
     # block 2 starts from clean windows: one child of weight 1 accounts for weight 2
     child = Tag(1, 1)
-    node.observe(214, radio.Heard(radio.CollisionTagMsg(child)))
-    node.observe(213 + report_slot(3, 1, 1), radio.Heard(radio.WeightReport(child, 1)))
+    node.observe(214, radio.CollisionTagMsg(child))
+    node.observe(213 + report_slot(3, 1, 1), radio.WeightReport(child, 1))
     assert node.decide(226) == radio.Stop() and node.weight == 2
 
 
@@ -672,7 +689,7 @@ def test_listener_accepts_clean_wave():
     listener = WaveListener(lambda v, r: {"ok": True} if (v, r) == (value, finish) else None)
     schedule = {start + i: "pulse" for i, c in enumerate(pattern) if c == "1"}
     hits = _drive_listener(listener, schedule, 90, finish)
-    assert len(hits) == 1 and hits[0]["value"] == value and hits[0]["round"] == finish
+    assert list(hits) == [finish] and hits[finish]["value"] == value
 
 
 def test_listener_survives_collision_immediately_before_wave():
@@ -687,7 +704,7 @@ def test_listener_survives_collision_immediately_before_wave():
     schedule = {start - 1: "pulse"}
     schedule.update({start + i: "pulse" for i, c in enumerate(pattern) if c == "1"})
     hits = _drive_listener(listener, schedule, 190, finish)
-    assert len(hits) == 1 and hits[0]["value"] == value
+    assert [got["value"] for got in hits.values()] == [value]
 
 
 def test_listener_rejects_forged_alignment_via_validator():
@@ -698,7 +715,7 @@ def test_listener_rejects_forged_alignment_via_validator():
     pattern = wave_encode(6)
     schedule = {50 + i: "pulse" for i, c in enumerate(pattern) if c == "1"}
     hits = _drive_listener(listener, schedule, 45, 70)
-    assert hits == []
+    assert hits == {}
 
 
 def test_listener_typed_message_clears_then_recovers():
@@ -711,7 +728,7 @@ def test_listener_typed_message_clears_then_recovers():
     schedule = {20: "pulse", 22: "pulse", 25: "typed"}
     schedule.update({start + i: "pulse" for i, c in enumerate(pattern) if c == "1"})
     hits = _drive_listener(listener, schedule, 18, finish)
-    assert len(hits) == 1 and hits[0]["value"] == value
+    assert [got["value"] for got in hits.values()] == [value]
 
 
 def test_listener_long_silence_drops_stale_candidates():
@@ -724,7 +741,7 @@ def test_listener_long_silence_drops_stale_candidates():
         finish = 10 + length - 1
         schedule = {10: "pulse", finish - 1: "pulse", finish: "pulse"}
         hits = _drive_listener(listener, schedule, 10, finish)
-        assert [got["value"] for got in hits] == expected
+        assert [got["value"] for got in hits.values()] == expected
 
 
 def test_listener_decodes_largest_wave_value():
@@ -738,7 +755,7 @@ def test_listener_decodes_largest_wave_value():
     schedule = {start + i: "pulse" for i, c in enumerate(pattern) if c == "1"}
     hits = _drive_listener(listener, schedule, start, finish)
     assert len(pattern) == MAX_WAVE_BITS
-    assert len(hits) == 1 and hits[0]["value"] == value
+    assert [got["value"] for got in hits.values()] == [value]
 
 
 class StringWindowListener(WaveListener):
@@ -767,7 +784,6 @@ class StringWindowListener(WaveListener):
             got = self.validator(value, r)
             if got is not None:
                 got["value"] = value
-                got["round"] = r
                 return got
         return None
 
@@ -811,7 +827,7 @@ def _offers(listener_cls, schedule, accept):
         elif first is None:
             got = listener.pulse(r)
             if got is not None:
-                first = (got["value"], got["round"])
+                first = (got["value"], r)
     return offered, first
 
 
@@ -934,6 +950,21 @@ def test_node_is_not_done_while_a_pulse_is_pending_and_keeps_no_spent_run():
     assert node._pulses is None
 
 
+def test_a_typed_message_heard_inside_a_wave_refuses_it():
+    # x = 13 from t2 pulses at 101, 103, 107, 109, 110.  A stop heard in the
+    # silent round 105 is no pulse (as one, the pulses would spell 15), and
+    # proves no wave was in the air then: the wave is refused, and the node
+    # goes on listening
+    t2, pulses = 100, _pulse_rounds(101, 13)
+    for typed, accepted in ((None, 13), (105, None)):
+        node = _hand_set_node(h=3, t2=t2, delta=4, m=3, phase=1)
+        node._await("wave_x", node._validate_x_wave, node._got_x)
+        for q in sorted(pulses + [typed] * (typed is not None)):
+            node.observe(q, radio.Stop() if q == typed else radio.WavePulse())
+        assert node.x_i == accepted
+        assert node.stage == ("wave_x" if accepted is None else "idle_until_blocks")
+
+
 @pytest.mark.parametrize("value", [1, 13, 2**64 - 1])
 def test_relay_repeats_the_heard_pulses_one_hop_later(value):
     # an x wave from the phase initiator (sent in rounds t2 + 1 on) ends its
@@ -943,7 +974,7 @@ def test_relay_repeats_the_heard_pulses_one_hop_later(value):
     node._await("wave_x", node._validate_x_wave, node._got_x)
     node.observe(t2 - 1, radio.COLLISION)
     for q in _pulse_rounds(t2 + 1, value):
-        node.observe(q, radio.Heard(radio.WavePulse()))
+        node.observe(q, radio.WavePulse())
     r = t2 + span
     assert node.x_i == value and node.stage == "idle_until_blocks"
     expected = _pulse_rounds(r + 1, value)
@@ -956,7 +987,7 @@ def test_protocol_trace_model_soundness():
     g = random_connected_graph(10, 4, 6)
     res = run_protocol(g, record_trace=True)
     assert res.ok
-    from rsd.radio import COLLISION, NOT_LISTENING, SILENCE, Heard
+    from rsd.radio import COLLISION, NOT_LISTENING, SILENCE
 
     # the fast engine records the rounds it resolved: a node absent from a
     # round listened and heard silence
@@ -972,6 +1003,6 @@ def test_protocol_trace_model_soundness():
             elif len(talkers) == 0:
                 assert obs[v] is SILENCE
             elif len(talkers) == 1:
-                assert obs[v] == Heard(actions[talkers[0]])
+                assert obs[v] is actions[talkers[0]]
             else:
                 assert obs[v] is COLLISION
