@@ -5,6 +5,8 @@ reach the root in the first rounds, floods teach everyone the degree, their
 level, and the depth, then one bottom-up phase per level transfers weights
 to the upper sets, and a final flood announces the size.
 """
+from itertools import islice
+
 from rsd import run_protocol
 from rsd.graphs import Graph
 
@@ -20,12 +22,11 @@ for event in result.nodes[3].events:
     print("  ", event)
 
 print("\nfirst 16 rounds on the air (round node action observation):")
-for line in result.trace.format_text().splitlines():
-    r, v, action, obs = line.split()
-    if int(r) > 16:
-        break
-    if action != "L" or obs not in ("S", "-"):
-        print("  ", line)
+for text in islice(result.trace.iter_text(), 16):  # one round's text each
+    for line in text.splitlines():
+        action, obs = line.split()[2:]
+        if action != "L" or obs not in ("S", "-"):
+            print("  ", line)
 
 report = result.report(diamond)
 print("\nmachine-readable report:", report)

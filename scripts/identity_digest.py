@@ -57,7 +57,8 @@ def record(h, g: Graph) -> None:
     events = [res.nodes[v].events for v in range(g.n)]
     h.update(repr((g.n, g.edges, res.ok, res.failure, res.rounds_used, res.outputs, events)).encode())
     if res.trace is not None:
-        h.update(res.trace.format_text().encode())
+        for chunk in res.trace.iter_text():  # one round at a time
+            h.update(chunk.encode())
 
 
 def record_cli(h, g: Graph, tmp: str) -> None:

@@ -31,6 +31,7 @@ PROTOCOL_TESTS = "tests/test_protocol.py::"
 RADIO_TESTS = "tests/test_radio.py::"
 UPPER_SETS_TESTS = "tests/test_upper_sets.py::"
 HISTORY_TESTS = "tests/test_history_lab.py::"
+CLI_TESTS = "tests/test_cli.py::"
 TIMEOUT_S = 120  # per mutant; the listed tests take a few seconds on the unmutated source
 
 
@@ -281,6 +282,14 @@ MUTANTS = [
         "sorted(u for u in audible if plan.owner.get(u) != v)",
         "sorted(audible)",
         [UPPER_SETS_TESTS + "test_a_miscounting_member_names_its_foreign_carriers"],
+    ),
+    # a traced run streams its trace file instead of holding the joined text
+    Mutant(
+        "trace_written_whole",
+        "cli.py",
+        "_write_chunks(args.trace, result.trace.iter_text())",
+        "_write(args.trace, result.trace.format_text())",
+        [CLI_TESTS + "test_a_traced_run_does_not_hold_its_trace_text"],
     ),
 ]
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import generators
 from .graphs import Graph, decompose, parse_graph
@@ -23,11 +23,16 @@ MAX_BETA = 11
 
 
 def _write(path: Optional[str], content: str) -> None:
+    _write_chunks(path, [content])
+
+
+def _write_chunks(path: Optional[str], chunks: Iterable[str]) -> None:
+    """Write `chunks` in order to `path`, or to stdout for None or "-"."""
     if path is None or path == "-":
-        sys.stdout.write(content)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+            fh.writelines(chunks)
 
 
 def _read_graph(path: str) -> Graph:
@@ -102,7 +107,7 @@ def cmd_run(args) -> int:
     g = _read_graph(args.graph)
     result = run_protocol(g, record_trace=bool(args.trace))
     if args.trace:
-        _write(args.trace, result.trace.format_text())
+        _write_chunks(args.trace, result.trace.iter_text())
     report = _stable_json(result.report(g))
     if args.report:
         _write(args.report, report)

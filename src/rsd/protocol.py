@@ -35,8 +35,8 @@ while one is in flight, or a wave at or before a queued typed message
 comes only from a forged alignment and is a desync.
 Only a node that starts a wave encodes it (`wave_encode`); a relay repeats
 the pulse rounds it heard from the accepted start, one hop later.  The
-listener decodes a wave arithmetically from its list of pulse rounds;
-`wave_decode` is the reference it agrees with.
+listener decodes a wave arithmetically from its list of pulse rounds: it
+inverts `wave_encode`, and the tests check it against a string decoder.
 
 The procedures are sequential, so a node waits for one timed step at a time
 (a phase, block or final start, or a member's block-final stop decision) in
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .graphs import Graph, LevelDecomposition, decompose
-from .labels import Label, LabelingScheme, assign_labels, decode_label
+from .labels import Label, LabelFormatError, LabelingScheme, assign_labels, decode_label
 from .radio import (
     COLLISION,
     NOT_LISTENING,
@@ -84,10 +84,6 @@ _Handler = Callable[[int, Observation], None]  # a stage's observation handler
 MAX_WAVE_BITS = 2 * 64 + 2  # longest wave pattern: values fit in 64 bits
 
 
-class MalformedWaveError(ValueError):
-    """A pulse pattern that is not a valid encoded value."""
-
-
 class ProtocolDesyncError(SimulationError):
     """An observation impossible at the node's current stage."""
 
@@ -103,29 +99,6 @@ def wave_encode(x: int) -> str:
     if wave_span(x) > MAX_WAVE_BITS:
         raise ValueError(f"wave value {x} needs more than MAX_WAVE_BITS = {MAX_WAVE_BITS} rounds")
     return "".join("10" if c == "1" else "00" for c in format(x, "b")) + "11"
-
-
-def wave_decode(pattern: str) -> int:
-    """Inverse of wave_encode over a non-silence pattern.
-
-    The first pair whose second bit is one must be the terminating 11 and
-    must end the pattern; a 01 pair anywhere earlier is malformed.  Leading
-    zero pairs decode to leading zero bits, which vanish under integer
-    normalization.
-    """
-    i = 2 * pattern[1::2].find("1")
-    if i < 0:
-        raise MalformedWaveError("pattern ended before the 11 terminator")
-    if pattern[i] != "1":
-        raise MalformedWaveError(f"second bit of pair at offset {i} is 1")
-    if i + 2 != len(pattern):
-        raise MalformedWaveError("bits after the terminator")
-    if i == 0:
-        raise MalformedWaveError("empty payload before terminator")
-    value = int(pattern[0:i:2], 2)
-    if value < 1:
-        raise MalformedWaveError("payload decodes to zero")
-    return value
 
 
 # --- timeline arithmetic ----------------------------------------------------
@@ -161,10 +134,11 @@ class WaveListener:
     start of the real wave.  When a pulse closes an 11 pair, the listener
     decodes the pattern from each candidate start, oldest first, that
     follows the last clean typed message, fits MAX_WAVE_BITS and spans
-    whole pairs; starts whose pattern wave_decode would reject are skipped.
-    The validator gets (value, finish_round) and accepts by returning a
-    context dict, to which the listener adds the value and the start; since
-    it checks exact round arithmetic, only the true alignment is accepted.
+    whole pairs; a start whose pulses wave_encode could not have sent is
+    skipped.  The validator gets (value, finish_round) and accepts by
+    returning a context dict, to which the listener adds the value and the
+    start; since it checks exact round arithmetic, only the true alignment
+    is accepted.
     Rounds the node spent transmitting count as silent.  A listener serves
     one wave: `SizeDiscoveryNode.observe` drops it once it has accepted one.
     """
@@ -716,7 +690,8 @@ class ProtocolResult:
     """Outcome of one end-to-end run plus everything tests need to audit it.
 
     `rounds_used` is the last round in which anyone transmitted or, if the
-    simulation raised, the round it failed in.  `trace` is the run's
+    simulation raised, the round it failed in: 0, with `nodes` empty and
+    every output None, when a label did not decode.  `trace` is the run's
     `SimulationTrace` when one was asked for, else None; if the run failed
     it holds the rounds resolved before the failure.  Each node's `events`
     is its audit log when the run was asked to record events, else None.
@@ -751,12 +726,31 @@ def round_cap_multiplier() -> int:
     return 64
 
 
+def _boot(n: int, scheme: LabelingScheme, record_events: bool) -> Dict[int, SizeDiscoveryNode]:
+    """Nodes 0..n-1, each built from its decoded label bits; every distinct
+    string is decoded once.  A string that does not decode fails the run
+    before round 1: a SimulationError at round 0 naming the lowest node
+    that holds it."""
+    labels: Dict[str, Label] = {}
+    nodes = {}
+    for v in range(n):
+        bits = scheme.encoded[v]
+        if bits not in labels:
+            try:
+                labels[bits] = decode_label(bits)
+            except LabelFormatError as exc:
+                raise SimulationError(f"label does not decode: {exc}", 0, v) from exc
+        nodes[v] = SizeDiscoveryNode(labels[bits], v, record_events)
+    return nodes
+
+
 def run_protocol(g: Graph, record_trace: bool = False, record_events: bool = False) -> ProtocolResult:
     """Label the graph, run size discovery, and audit the outputs against n.
 
-    Each node boots from its encoded bits, as the paper's node does: every
-    distinct label string is decoded once.  The audit reads only each node's
-    `output` and `done`.  `record_trace` keeps every resolved round, and
+    Each node boots from its encoded bits, as the paper's node does (see
+    `_boot`); a label that does not decode fails the run at round 0, with
+    no node built.  The audit reads only each node's `output` and `done`.
+    `record_trace` keeps every resolved round, and
     `record_events` keeps each node's event log (see `SizeDiscoveryNode`);
     the log grows by about four events per node and phase, so a run without
     it holds O(1) state per node.
@@ -768,18 +762,18 @@ def run_protocol(g: Graph, record_trace: bool = False, record_events: bool = Fal
     weights = compute_weights(plan, d)
     scheme = assign_labels(g, d, plan, weights)
     cap = round_cap_multiplier() * g.diameter() * g.n * g.n * bitlen(d.delta)
-    labels = {bits: decode_label(bits) for bits in set(scheme.encoded.values())}
-    nodes = {v: SizeDiscoveryNode(labels[scheme.encoded[v]], v, record_events) for v in range(g.n)}
 
     failure = None
     trace = SimulationTrace(g.n) if record_trace else None
+    nodes: Dict[int, SizeDiscoveryNode] = {}
     try:
+        nodes = _boot(g.n, scheme, record_events)
         rounds_used = run_scheduled(g, nodes, cap, trace)
     except SimulationError as exc:
         failure = str(exc)
         rounds_used = exc.round_no
 
-    outputs = {v: nodes[v].output for v in range(g.n)}
+    outputs = {v: nodes[v].output if nodes else None for v in range(g.n)}
     ok = failure is None and all(out == g.n for out in outputs.values())
     if failure is None and not all(nodes[v].done for v in range(g.n)):
         ok = False

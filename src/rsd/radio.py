@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NoReturn, Optional, Protocol, Tuple
+from typing import Dict, Iterable, Iterator, List, NoReturn, Optional, Protocol, Tuple
 
 from .graphs import Graph
 from .labels import Tag
@@ -182,7 +182,9 @@ class SimulationTrace:
     node; `last` is the trace's final round.  A round missing from
     `rounds`, or a node missing from a recorded round, listened and heard
     silence: in this model a round is silent unless someone transmits, so
-    the non-silent rounds fix the whole trace.
+    the non-silent rounds fix the whole trace.  Its text is last * n lines
+    long, so `iter_text` streams it round by round, the way `rsd run
+    --trace` writes it; `format_text` joins the same stream.
     """
 
     n: int
@@ -197,11 +199,11 @@ class SimulationTrace:
         self.rounds[r] = (actions, obs)
         self.last = r
 
-    def format_text(self) -> str:
-        """Trace file format: `round node action observation` per line, for
-        rounds 1..last and nodes 0..n-1."""
+    def iter_text(self) -> Iterator[str]:
+        """The trace file, one round's text at a time: `round node action
+        observation` per line, for rounds 1..last and nodes 0..n-1.  A
+        writer that consumes it holds one round's text, not the file."""
         silent = [""] + [f" {v} L S\n" for v in range(self.n)]
-        chunks = []
         for r in range(1, self.last + 1):
             tails = silent
             if r in self.rounds:
@@ -209,8 +211,11 @@ class SimulationTrace:
                 tails = silent.copy()
                 for v, o in obs.items():  # every node that acted or heard anything
                     tails[v + 1] = f" {v} {_action_str(actions.get(v))} {_obs_str(o)}\n"
-            chunks.append(str(r).join(tails))  # each tail after its round number
-        return "".join(chunks)
+            yield str(r).join(tails)  # each tail after its round number
+
+    def format_text(self) -> str:
+        """The whole trace file as one string."""
+        return "".join(self.iter_text())
 
 
 def _action_str(msg: Optional[Message]) -> str:

@@ -11,7 +11,7 @@ from rsd.generators import path, random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
 from rsd.history_lab import build_family, check_lemmas, pattern_bound
 from rsd.labels import assign_labels, length_bound
-from rsd.protocol import run_protocol, t1_formula, wave_decode, wave_encode
+from rsd.protocol import run_protocol, t1_formula, wave_encode
 from rsd.upper_sets import bitlen, compute_upper_sets, compute_weights
 
 
@@ -140,6 +140,34 @@ def test_c5_phase_weights(corpus_runs):
             at_or_below = sum(len(vs) for vs in d.levels[l:])
             assert sum(res.oracle_weights[v] for v in d.levels[l]) == at_or_below
     print("\nACCEPTANCE 5 PASS: phase-end weights equal the oracle and levels conserve counts")
+
+
+class MalformedWaveError(ValueError):
+    """A pulse pattern that is not a valid encoded value."""
+
+
+def wave_decode(pattern: str) -> int:
+    """Inverse of wave_encode over a non-silence pattern: the string
+    reference that the automaton's arithmetic `WaveListener` agrees with.
+
+    The first pair whose second bit is one must be the terminating 11 and
+    must end the pattern; a 01 pair anywhere earlier is malformed.  Leading
+    zero pairs decode to leading zero bits, which vanish under integer
+    normalization.
+    """
+    i = 2 * pattern[1::2].find("1")
+    if i < 0:
+        raise MalformedWaveError("pattern ended before the 11 terminator")
+    if pattern[i] != "1":
+        raise MalformedWaveError(f"second bit of pair at offset {i} is 1")
+    if i + 2 != len(pattern):
+        raise MalformedWaveError("bits after the terminator")
+    if i == 0:
+        raise MalformedWaveError("empty payload before terminator")
+    value = int(pattern[0:i:2], 2)
+    if value < 1:
+        raise MalformedWaveError("payload decodes to zero")
+    return value
 
 
 def test_c6_wave_oracle(corpus_runs):

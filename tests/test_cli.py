@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from rsd import cli, protocol, radio
 from rsd.cli import MAX_BETA, main
+from rsd.generators import random_tree, star
 from rsd.graphs import Graph, parse_graph
 from rsd.history_lab import pattern_bound
 from rsd.labels import Tag, encode_label
@@ -306,6 +308,107 @@ def test_run_names_the_stage_when_the_degree_tags_spell_zero(tmp_path, monkeypat
     assert run_cli("run", str(g)) == 1
     err = capsys.readouterr().err
     assert err == "failure: round 2, node 1: [root_collect] degree 0 does not fit its own bit count\n"
+
+
+def test_run_fails_on_a_label_that_does_not_decode(tmp_path, monkeypatch, capsys):
+    # node 0's bits of path(5) get one trailing 0: the run fails before
+    # round 1, naming the lowest node that holds the string
+    real = protocol.assign_labels
+
+    def padded(*args):
+        scheme = real(*args)
+        scheme.encoded[0] += "0"
+        return scheme
+
+    monkeypatch.setattr(protocol, "assign_labels", padded)
+    g, report = tmp_path / "path5.g", tmp_path / "report.json"
+    g.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
+    assert run_cli("run", str(g), "--report", str(report)) == 1
+    out, err = capsys.readouterr()
+    assert out == read(report)
+    assert json.loads(out)["rounds_used"] == 0 and json.loads(out)["outputs_ok"] is False
+    assert err == "failure: round 0, node 0: label does not decode: 1 trailing bits after label\n"
+
+
+def _run_and_keep_result(monkeypatch, *args):
+    """`rsd ARGS`, and the result of the one run `cmd_run` made."""
+    results = []
+
+    def kept(*a, **k):
+        results.append(run_protocol(*a, **k))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_protocol", kept)
+    code = run_cli(*args)
+    (res,) = results
+    return code, res
+
+
+def test_the_trace_file_of_a_completed_run_is_format_text(tmp_path, monkeypatch):
+    g, trace = tmp_path / "tree.g", tmp_path / "trace.txt"
+    g.write_text(random_tree(30, 4, 7).to_text())
+    code, res = _run_and_keep_result(monkeypatch, "run", str(g), "--trace", str(trace))
+    assert code == 0 and res.ok
+    assert trace.read_bytes() == res.trace.format_text().encode()
+    assert res.trace.last == res.rounds_used
+
+
+def test_the_trace_file_of_a_capped_run_is_format_text(tmp_path, monkeypatch):
+    # the file runs on through the silent rounds after the last transmission
+    # up to the cap, as format_text does
+    monkeypatch.setattr(protocol, "round_cap_multiplier", lambda: 1)
+    g, trace = tmp_path / "star2.g", tmp_path / "trace.txt"
+    g.write_text(star(2).to_text())
+    code, res = _run_and_keep_result(monkeypatch, "run", str(g), "--trace", str(trace))
+    assert code == 1 and "cap" in res.failure
+    assert trace.read_bytes() == res.trace.format_text().encode()
+    lines = read(trace).splitlines()
+    assert res.rounds_used < res.trace.last == res.round_cap == 36
+    assert len(lines) == 36 * 3 and lines[-1] == "36 2 L S"
+    assert all(line.endswith(" L S") for line in lines[3 * res.rounds_used :])
+
+
+def test_the_trace_file_of_a_failed_run_is_format_text(tmp_path, monkeypatch):
+    real = SizeDiscoveryNode.decide
+
+    def decide(self, r):
+        if r >= 30:
+            raise RuntimeError("injected fault")
+        return real(self, r)
+
+    monkeypatch.setattr(SizeDiscoveryNode, "decide", decide)
+    g, trace = tmp_path / "tree.g", tmp_path / "trace.txt"
+    g.write_text(random_tree(12, 4, 1).to_text())
+    code, res = _run_and_keep_result(monkeypatch, "run", str(g), "--trace", str(trace))
+    assert code == 1 and "injected fault" in res.failure
+    assert 0 < res.trace.last < res.rounds_used
+    assert trace.read_bytes() == res.trace.format_text().encode()
+
+
+def test_a_trace_to_stdout_is_format_text_then_the_report(tmp_path, monkeypatch, capsys):
+    tree, g = random_tree(12, 4, 1), tmp_path / "tree.g"
+    g.write_text(tree.to_text())
+    code, res = _run_and_keep_result(monkeypatch, "run", str(g), "--trace", "-")
+    out = capsys.readouterr().out
+    text = res.trace.format_text()
+    assert code == 0 and text
+    assert out[: len(text)] == text
+    assert json.loads(out[len(text) :]) == res.report(tree)
+
+
+def test_a_traced_run_does_not_hold_its_trace_text(tmp_path):
+    # the file is written round by round: the traced peak stays well below
+    # the file's size (about 0.2 of it; holding the joined text takes 2x)
+    g, trace = tmp_path / "tree.g", tmp_path / "trace.txt"
+    g.write_text(random_tree(80, 6, 30_080).to_text())
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", str(g), "--trace", str(trace)])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < trace.stat().st_size / 2
 
 
 def test_run_report_counts_rounds_up_to_a_failure(tmp_path, monkeypatch):

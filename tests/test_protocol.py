@@ -5,6 +5,7 @@ from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, strategies as st
+from test_acceptance import MalformedWaveError, wave_decode
 from test_graphs import connected_graphs
 
 from rsd import protocol, radio
@@ -13,7 +14,6 @@ from rsd.graphs import Graph, decompose
 from rsd.labels import Label, Tag, decode_label, make_markers
 from rsd.protocol import (
     MAX_WAVE_BITS,
-    MalformedWaveError,
     ProtocolDesyncError,
     SizeDiscoveryNode,
     WaveListener,
@@ -21,7 +21,6 @@ from rsd.protocol import (
     run_protocol,
     t1_formula,
     tau_formula,
-    wave_decode,
     wave_encode,
     wave_span,
 )
@@ -148,6 +147,23 @@ def test_nodes_boot_from_their_encoded_bits(monkeypatch):
     assert sorted(decoded) == sorted(set(res.scheme.encoded.values()))  # each distinct label once
     for v in range(g.n):
         assert res.nodes[v].label == decode_label(res.scheme.encoded[v]) != res.scheme.labels[v]
+
+
+def test_a_label_that_does_not_decode_fails_the_run_at_round_0(monkeypatch):
+    # nodes 3 and 2 hold the same bad string: the lowest of them is named
+    real = protocol.assign_labels
+
+    def broken(*args):
+        scheme = real(*args)
+        scheme.encoded[3] = scheme.encoded[2] = "0101"
+        return scheme
+
+    monkeypatch.setattr(protocol, "assign_labels", broken)
+    res = run_protocol(path(5), record_trace=True)
+    assert not res.ok and res.rounds_used == 0 and res.nodes == {}
+    assert res.outputs == {v: None for v in range(5)}
+    assert res.failure == "round 0, node 2: label does not decode: truncated label: missing marker bits"
+    assert res.trace.last == 0 and res.trace.format_text() == ""
 
 
 def _reference_run(g, res):
