@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL_TESTS = "tests/test_protocol.py::"
 RADIO_TESTS = "tests/test_radio.py::"
 UPPER_SETS_TESTS = "tests/test_upper_sets.py::"
+LABELS_TESTS = "tests/test_labels.py::"
 HISTORY_TESTS = "tests/test_history_lab.py::"
 CLI_TESTS = "tests/test_cli.py::"
 TIMEOUT_S = 120  # per mutant; the listed tests take a few seconds on the unmutated source
@@ -287,9 +288,50 @@ MUTANTS = [
     Mutant(
         "trace_written_whole",
         "cli.py",
-        "_write_chunks(args.trace, result.trace.iter_text())",
-        "_write(args.trace, result.trace.format_text())",
+        "trace_out.writelines(result.trace.iter_text())",
+        "trace_out.write(result.trace.format_text())",
         [CLI_TESTS + "test_a_traced_run_does_not_hold_its_trace_text"],
+    ),
+    # a run's output files are opened before it simulates
+    Mutant(
+        "outputs_opened_after_the_run",
+        "cli.py",
+        "        trace_out = _output(files, args.trace) if args.trace else None\n"
+        "        report_out = _output(files, args.report) if args.report else None\n"
+        "        result = run_protocol(g, record_trace=trace_out is not None)\n",
+        "        result = run_protocol(g, record_trace=bool(args.trace))\n"
+        "        trace_out = _output(files, args.trace) if args.trace else None\n"
+        "        report_out = _output(files, args.report) if args.report else None\n",
+        [CLI_TESTS + "test_an_output_that_cannot_be_written_fails_before_the_run"],
+    ),
+    # a finished node keeps what it learned, not its stages' scratch
+    Mutant(
+        "member_keeps_its_block_account",
+        "protocol.py",
+        "        self._window_clean = self._tags_heard = self._reports_heard = None  # accounted\n",
+        "",
+        [PROTOCOL_TESTS + "test_stage_scratch_lives_only_while_its_stage_runs"],
+    ),
+    Mutant(
+        "root_keeps_its_degree_bits",
+        "protocol.py",
+        "            self._delta_bits = None  # the degree is known\n",
+        "",
+        [PROTOCOL_TESTS + "test_stage_scratch_lives_only_while_its_stage_runs"],
+    ),
+    Mutant(
+        "drained_outbox_keeps_its_table",
+        "protocol.py",
+        "        if msg is not None and not self._outbox:\n",
+        "        if False:\n",
+        [PROTOCOL_TESTS + "test_stage_scratch_lives_only_while_its_stage_runs"],
+    ),
+    Mutant(
+        "every_label_encoded",
+        "labels.py",
+        "        labels[v], encoded[v] = shared[lbl]\n",
+        "        labels[v], encoded[v] = lbl, encode_label(lbl)\n",
+        [LABELS_TESTS + "test_each_distinct_label_is_built_and_encoded_once"],
     ),
 ]
 

@@ -7,7 +7,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Optional
+from contextlib import ExitStack
+from typing import Optional, TextIO
 
 from . import generators
 from .graphs import Graph, decompose, parse_graph
@@ -22,17 +23,17 @@ from .upper_sets import compute_upper_sets, compute_weights
 MAX_BETA = 11
 
 
-def _write(path: Optional[str], content: str) -> None:
-    _write_chunks(path, [content])
-
-
-def _write_chunks(path: Optional[str], chunks: Iterable[str]) -> None:
-    """Write `chunks` in order to `path`, or to stdout for None or "-"."""
+def _output(files: ExitStack, path: Optional[str]) -> TextIO:
+    """Stdout for None or "-"; else `path`, opened for writing now and closed
+    with `files`."""
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        return sys.stdout
+    return files.enter_context(open(path, "w", encoding="utf-8"))
+
+
+def _write(path: Optional[str], content: str) -> None:
+    with ExitStack() as files:
+        _output(files, path).write(content)
 
 
 def _read_graph(path: str) -> Graph:
@@ -105,12 +106,16 @@ def cmd_label(args) -> int:
 
 def cmd_run(args) -> int:
     g = _read_graph(args.graph)
-    result = run_protocol(g, record_trace=bool(args.trace))
-    if args.trace:
-        _write_chunks(args.trace, result.trace.iter_text())
-    report = _stable_json(result.report(g))
-    if args.report:
-        _write(args.report, report)
+    with ExitStack() as files:
+        # opened before the run: a path that cannot be written costs no simulation
+        trace_out = _output(files, args.trace) if args.trace else None
+        report_out = _output(files, args.report) if args.report else None
+        result = run_protocol(g, record_trace=trace_out is not None)
+        if trace_out is not None:
+            trace_out.writelines(result.trace.iter_text())
+        report = _stable_json(result.report(g))
+        if report_out is not None:
+            report_out.write(report)
     sys.stdout.write(report)
     if not result.ok:
         if result.failure:

@@ -58,7 +58,10 @@ def make_markers(*on: int) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LabelingScheme:
-    """Complete assignment: per-node Label and its encoded bit string."""
+    """Complete assignment: per-node Label and its encoded bit string.
+
+    Nodes with equal labels share one `Label` object and one string, built
+    and encoded once by `assign_labels`."""
 
     labels: Dict[int, Label]
     encoded: Dict[int, str]
@@ -127,15 +130,20 @@ def assign_labels(
     l2 = {u: Tag(i, b) for u, (i, b) in collision_tag_map(plan).items()}
     l3 = {u: Tag(i, b) for u, (i, b) in l3_map.items()}
 
+    # O(log log Delta) bits leave few distinct labels: build and encode each once
+    shared: Dict[Label, Tuple[Label, str]] = {}
     labels: Dict[int, Label] = {}
+    encoded: Dict[int, str] = {}
     for v in range(g.n):
-        labels[v] = Label(
+        lbl = Label(
             markers=make_markers(*marker_sets[v]),
             l1=l1.get(v, ZERO_TAG),
             l2=l2.get(v, ZERO_TAG),
             l3=l3.get(v, ZERO_TAG),
         )
-    encoded = {v: encode_label(lbl) for v, lbl in labels.items()}
+        if lbl not in shared:
+            shared[lbl] = (lbl, encode_label(lbl))
+        labels[v], encoded[v] = shared[lbl]
     return LabelingScheme(labels=labels, encoded=encoded)
 
 

@@ -33,10 +33,11 @@ or T relay ends by t2' or the next t2, and a root wave ends before the
 value it leads to is sent.  So a second wave in flight, a typed message
 while one is in flight, or a wave at or before a queued typed message
 comes only from a forged alignment and is a desync.
-Only a node that starts a wave encodes it (`wave_encode`); a relay repeats
-the pulse rounds it heard from the accepted start, one hop later.  The
-listener decodes a wave arithmetically from its list of pulse rounds: it
-inverts `wave_encode`, and the tests check it against a string decoder.
+Only a node that starts a wave lists its pulses (`wave_pulses`); a relay
+repeats the pulse rounds it heard from the accepted start, one hop later.
+The listener decodes a wave arithmetically from its list of pulse rounds:
+it inverts `wave_pulses`, and the tests check both against a string encoder
+and decoder.
 
 The procedures are sequential, so a node waits for one timed step at a time
 (a phase, block or final start, or a member's block-final stop decision) in
@@ -92,13 +93,17 @@ class ProtocolDesyncError(SimulationError):
         self.stage = stage
 
 
-def wave_encode(x: int) -> str:
-    """Bit-serial schedule for x: each 1 becomes 10, each 0 becomes 00, then 11."""
+def wave_pulses(x: int) -> List[int]:
+    """Offsets of the pulses of a wave carrying x from its first round, in
+    ascending order.  The schedule is bit-serial: each 1 becomes 10, each 0
+    becomes 00, most significant bit first, then 11; so bit j of x, counted
+    from the top, pulses at offset 2j, and the 11 at 2k and 2k + 1 for k bits."""
     if x < 1:
         raise ValueError(f"wave value must be >= 1, got {x}")
     if wave_span(x) > MAX_WAVE_BITS:
         raise ValueError(f"wave value {x} needs more than MAX_WAVE_BITS = {MAX_WAVE_BITS} rounds")
-    return "".join("10" if c == "1" else "00" for c in format(x, "b")) + "11"
+    k = bitlen(x)
+    return [2 * i for i in range(k) if x >> (k - 1 - i) & 1] + [2 * k, 2 * k + 1]
 
 
 # --- timeline arithmetic ----------------------------------------------------
@@ -134,7 +139,7 @@ class WaveListener:
     start of the real wave.  When a pulse closes an 11 pair, the listener
     decodes the pattern from each candidate start, oldest first, that
     follows the last clean typed message, fits MAX_WAVE_BITS and spans
-    whole pairs; a start whose pulses wave_encode could not have sent is
+    whole pairs; a start whose pulses wave_pulses could not have listed is
     skipped.  The validator gets (value, finish_round) and accepts by
     returning a context dict, to which the listener adds the value and the
     start; since it checks exact round arithmetic, only the true alignment
@@ -200,8 +205,22 @@ class SizeDiscoveryNode:
     With `record_events`, `events` is the node's audit log: one tuple per
     step (what it learned, each wave it accepted, each weight, stop and
     phase end), in order.  Without it, `events` is None and the node keeps
-    only its O(1) state, as the paper's node does.
+    only its O(1) state, as the paper's node does.  A stage's scratch lives
+    only while the stage runs: the root's degree bits from `root_collect`
+    until it knows the degree, and a member's block account from
+    `member_blocks` until its stop; otherwise each is None.  An outbox that
+    drains is replaced by a fresh empty one, so no grown table stays.  A
+    finished node thus holds what it learned, and nodes booted from equal
+    labels share one `Label`.
     """
+
+    __slots__ = (
+        "label", "node_id", "events", "stage",
+        "delta", "m", "level", "h", "t1", "weight", "output",
+        "phase", "t2", "x_i", "t2p", "tau",
+        "_outbox", "_pulses", "_head", "_timer", "_on_obs", "_listener", "_on_wave",
+        "_delta_bits", "_window_clean", "_tags_heard", "_reports_heard",
+    )
 
     def __init__(self, label: Label, node_id: int = -1, record_events: bool = False):
         self.label = label
@@ -230,14 +249,15 @@ class SizeDiscoveryNode:
         self._listener: Optional[WaveListener] = None
         self._on_wave: Optional[Callable[[int, dict], None]] = None
 
-        self._delta_bits: Dict[int, int] = {}
-        # a member's block windows: its level fixes the one phase it accounts in
-        self._window_clean = True
-        self._tags_heard: Dict[int, int] = {}
-        self._reports_heard: Dict[int, Dict[int, int]] = {}
+        self._delta_bits: Optional[Dict[int, int]] = None  # the root's, in root_collect
+        # a member's block window, in member_blocks: its level fixes the one phase it accounts in
+        self._window_clean: Optional[bool] = None
+        self._tags_heard: Optional[Dict[int, int]] = None
+        self._reports_heard: Optional[Dict[int, Dict[int, int]]] = None
 
         if label.has(0):
             self._enter("root_collect", self._obs_root_collect)
+            self._delta_bits = {}
             self.level = 0
             self.m = label.l1.id
         else:
@@ -259,7 +279,10 @@ class SizeDiscoveryNode:
             if self._head == len(pulses):  # the last pulse: drop the run
                 self._pulses, self._head = None, 0
             return _PULSE
-        return self._outbox.pop(r, None)
+        msg = self._outbox.pop(r, None)
+        if msg is not None and not self._outbox:
+            self._outbox = {}  # drained: keep no grown table
+        return msg
 
     def observe(self, r: int, obs: Observation) -> None:
         self._fire(r)
@@ -335,7 +358,7 @@ class SizeDiscoveryNode:
 
     def _start_wave(self, start: int, value: int) -> None:
         """Send a wave of `value` whose first pulse is in round `start`."""
-        self._send_pulses([start + i for i, c in enumerate(wave_encode(value)) if c == "1"])
+        self._send_pulses([start + i for i in wave_pulses(value)])
 
     def _send_pulses(self, rounds: List[int]) -> None:
         """Send a wave whose pulse rounds are `rounds` (ascending, a list the
@@ -392,7 +415,7 @@ class SizeDiscoveryNode:
         upper-set members, whose neighborhoods cover the next level; a
         mid-phase wave goes on while the 2h-hop budget lasts.  The relay
         repeats the pulses `heard` from the wave's start, one hop later: the
-        start is a pulse, so they spell exactly wave_encode(value)."""
+        start is a pulse, so they are exactly wave_pulses(value), shifted."""
         d = got.get("distance")
         if (self.label.has(4) if d is None else d < 2 * self.h):
             start = got["start"]
@@ -479,6 +502,7 @@ class SizeDiscoveryNode:
             if value.bit_length() != self.m:  # also refuses a degree of 0
                 self._desync(f"degree {value} does not fit its own bit count", r)
             self.delta = value
+            self._delta_bits = None  # the degree is known
             self._event("delta", r, value)
             self._event("level", r, 0)
             self._start_wave(self.m + 1, self.delta)
@@ -567,6 +591,7 @@ class SizeDiscoveryNode:
             self._enter("child_blocks", self._obs_child_blocks)
             self._on_child_block(r, 1)
         elif self.level == self.h - self.phase and self.label.has(4):
+            self._window_clean, self._tags_heard, self._reports_heard = True, {}, {}
             self._arm(self.t2p + self.tau, self._on_block_end)
             self._enter("member_blocks", self._obs_member_blocks)
         else:
@@ -639,6 +664,7 @@ class SizeDiscoveryNode:
             self._arm(r + self.tau, self._on_block_end)
             return
         self.weight = weight
+        self._window_clean = self._tags_heard = self._reports_heard = None  # accounted
         self._event("weight", r, self.weight)
         self._event("member_stop", self.phase, r)
         self._schedule(r, _STOP)

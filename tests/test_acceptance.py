@@ -11,7 +11,7 @@ from rsd.generators import path, random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
 from rsd.history_lab import build_family, check_lemmas, pattern_bound
 from rsd.labels import assign_labels, length_bound
-from rsd.protocol import run_protocol, t1_formula, wave_encode
+from rsd.protocol import MAX_WAVE_BITS, run_protocol, t1_formula, wave_span
 from rsd.upper_sets import bitlen, compute_upper_sets, compute_weights
 
 
@@ -140,6 +140,15 @@ def test_c5_phase_weights(corpus_runs):
             at_or_below = sum(len(vs) for vs in d.levels[l:])
             assert sum(res.oracle_weights[v] for v in d.levels[l]) == at_or_below
     print("\nACCEPTANCE 5 PASS: phase-end weights equal the oracle and levels conserve counts")
+
+
+def wave_encode(x: int) -> str:
+    """Bit-serial schedule for x: each 1 becomes 10, each 0 becomes 00, then 11."""
+    if x < 1:
+        raise ValueError(f"wave value must be >= 1, got {x}")
+    if wave_span(x) > MAX_WAVE_BITS:
+        raise ValueError(f"wave value {x} needs more than MAX_WAVE_BITS = {MAX_WAVE_BITS} rounds")
+    return "".join("10" if c == "1" else "00" for c in format(x, "b")) + "11"
 
 
 class MalformedWaveError(ValueError):

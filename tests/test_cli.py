@@ -411,6 +411,20 @@ def test_a_traced_run_does_not_hold_its_trace_text(tmp_path):
     assert peak < trace.stat().st_size / 2
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--report"])
+def test_an_output_that_cannot_be_written_fails_before_the_run(tmp_path, monkeypatch, capsys, flag):
+    calls = []
+    monkeypatch.setattr(cli, "run_protocol", lambda *a, **k: calls.append(a))
+    g = tmp_path / "k2.g"
+    g.write_text("2 1\n0 1\n")
+    missing = tmp_path / "missing" / "out.txt"
+    assert run_cli("run", str(g), flag, str(missing)) == 2
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_run_report_counts_rounds_up_to_a_failure(tmp_path, monkeypatch):
     real = SizeDiscoveryNode.decide
 

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rsd.generators import random_connected_graph, star
+from rsd import labels
+from rsd.generators import random_connected_graph, random_tree, star
 from rsd.graphs import decompose
 from rsd.labels import (
     Label,
@@ -138,6 +139,25 @@ def test_tag_ids_within_bounds():
         for tag in (lbl.l1, lbl.l2, lbl.l3):
             assert 0 <= tag.id <= m
             assert tag.bit in (0, 1)
+
+
+def test_each_distinct_label_is_built_and_encoded_once(monkeypatch):
+    encoded = []
+
+    def counted(lbl):
+        encoded.append(lbl)
+        return encode_label(lbl)
+
+    monkeypatch.setattr(labels, "encode_label", counted)
+    g = random_tree(300, 8, 1)
+    _d, scheme = scheme_for(g)
+    distinct = set(scheme.labels.values())
+    assert len(encoded) == len(distinct) == 36
+    # nodes with equal labels share one Label and one string
+    assert len({id(lbl) for lbl in scheme.labels.values()}) == 36
+    assert len({id(bits) for bits in scheme.encoded.values()}) == 36
+    for v in range(g.n):
+        assert scheme.encoded[v] == encode_label(scheme.labels[v])
 
 
 def test_labels_file_format():

@@ -1,11 +1,12 @@
 import dataclasses
+import gc
 import sys
 import tracemalloc
 from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, strategies as st
-from test_acceptance import MalformedWaveError, wave_decode
+from test_acceptance import MalformedWaveError, wave_decode, wave_encode
 from test_graphs import connected_graphs
 
 from rsd import protocol, radio
@@ -21,7 +22,7 @@ from rsd.protocol import (
     run_protocol,
     t1_formula,
     tau_formula,
-    wave_encode,
+    wave_pulses,
     wave_span,
 )
 from rsd.upper_sets import bitlen, finalize_weight_tags, report_slot
@@ -74,6 +75,18 @@ def test_wave_decode_malformed():
 @given(st.integers(1, 10**9))
 def test_wave_roundtrip_property(x):
     assert wave_decode(wave_encode(x)) == x
+
+
+def test_wave_pulses_are_the_ones_of_the_string_schedule():
+    for x in [*range(1, 2**12 + 1), 2**64 - 1]:
+        assert wave_pulses(x) == [i for i, c in enumerate(wave_encode(x)) if c == "1"], x
+
+
+def test_wave_pulses_refuses_what_the_string_schedule_refuses():
+    with pytest.raises(ValueError, match="must be >= 1"):
+        wave_pulses(0)
+    with pytest.raises(ValueError, match="MAX_WAVE_BITS"):
+        wave_pulses(2**64)
 
 
 # --- timeline arithmetic ------------------------------------------------------
@@ -196,13 +209,13 @@ def test_events_are_kept_only_when_asked_for():
 
 
 def test_a_run_without_the_event_log_holds_constant_state_per_node():
-    # path(200) runs h = 198 phases.  Without the log a node keeps a fixed
-    # set of attributes, its label, four small dicts (its outbox, and what
-    # the degree tags or one block taught it) and the pulse rounds heard
-    # while it awaits one wave: about 1.5 KiB whatever h is, plus its share
-    # of the graph, labels and oracle tables.  8 KiB per node bounds all of
-    # it.  The log adds four tuples of at least 64 bytes per node and phase,
-    # over 50 KiB per node here.
+    # path(200) runs h = 198 phases.  Without the log a node keeps its
+    # slots, a label shared with equal labels, its outbox, the scratch of
+    # the stage it is in (the degree tags or one block's account) and the
+    # pulse rounds heard while it awaits one wave: well under 1.5 KiB
+    # whatever h is, plus its share of the graph, labels and oracle tables.
+    # 8 KiB per node bounds all of it.  The log adds four tuples of at
+    # least 64 bytes per node and phase, over 50 KiB per node here.
     g = path(200)
     budget = 8 * 1024 * g.n
     tracemalloc.start()
@@ -214,6 +227,48 @@ def test_a_run_without_the_event_log_holds_constant_state_per_node():
     assert res.ok
     assert 4 * res.decomposition.h * g.n * sys.getsizeof((0, 0, 0)) > 2 * budget
     assert peak < budget
+
+
+def test_a_finished_run_retains_under_1200_bytes_per_node():
+    # what a result keeps per node: its automaton's slots and what it
+    # learned, the shared labels and strings, and its share of the graph
+    # and oracle tables (about 930 bytes here; 1,980 with an instance dict,
+    # stage scratch, a drained outbox's table and one label per node)
+    g = random_tree(300, 8, 1)
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        res = run_protocol(g)
+        gc.collect()  # a full collection also empties the free lists the run filled
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.ok
+    assert after - before < 1200 * g.n
+
+
+def test_a_node_has_no_instance_dict():
+    node = SizeDiscoveryNode(Label(make_markers()))
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        node.scratch = {}
+
+
+def test_stage_scratch_lives_only_while_its_stage_runs():
+    root = SizeDiscoveryNode(Label(make_markers(0), l1=Tag(2, 0)))
+    leaf = SizeDiscoveryNode(Label(make_markers()))
+    assert root._delta_bits == {} and leaf._delta_bits is None
+    assert root._tags_heard is leaf._tags_heard is None
+    # random_tree(300, 8, 1): depth 13, and 157 upper-set members that each
+    # account their block and stop
+    res = run_protocol(random_tree(300, 8, 1))
+    assert res.ok and res.decomposition.h == 13
+    assert sum(res.scheme.labels[v].has(4) for v in range(300)) == 157
+    empty = sys.getsizeof({})
+    for v, node in res.nodes.items():
+        assert node._delta_bits is None, v
+        assert node._window_clean is node._tags_heard is node._reports_heard is None, v
+        assert node._outbox == {} and sys.getsizeof(node._outbox) == empty, v
 
 
 def test_root_refuses_a_degree_of_zero():
@@ -693,6 +748,20 @@ def test_member_without_an_account_retries_one_block_later():
     node.observe(214, radio.CollisionTagMsg(child))
     node.observe(213 + report_slot(3, 1, 1), radio.WeightReport(child, 1))
     assert node.decide(226) == radio.Stop() and node.weight == 2
+
+
+def test_a_members_block_account_lives_from_its_blocks_to_its_stop():
+    child = _blocks_node(Label(make_markers(), l2=Tag(1, 1)), level=2)
+    assert child._tags_heard is child._reports_heard is child._window_clean is None
+    member = _blocks_node(Label(make_markers(4)), level=1)
+    assert member._window_clean is True
+    assert member._tags_heard == {} and member._reports_heard == {}
+    child_tag = Tag(1, 1)
+    member.observe(201, radio.CollisionTagMsg(child_tag))
+    member.observe(200 + report_slot(3, 1, 1), radio.WeightReport(child_tag, 1))
+    assert member._tags_heard == {1: 1} and member._reports_heard == {1: {1: 1}}
+    assert member.decide(213) == radio.Stop() and member.weight == 2
+    assert member._tags_heard is member._reports_heard is member._window_clean is None
 
 
 def test_listener_accepts_clean_wave():
