@@ -45,40 +45,48 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # one wave in flight, outside every typed message
+    # one ascending send list: nothing behind a wave in flight, nothing at or
+    # before the last queued round
     Mutant(
         "second_wave_in_flight",
         "protocol.py",
-        '        if self._pulses is not None:\n            self._desync(f"wave from round',
-        '        if False:\n            self._desync(f"wave from round',
+        "        if msg is _PULSE:\n",
+        "        if msg is _PULSE and sends[0][1] is not _PULSE:\n",
         [PROTOCOL_TESTS + "test_a_second_wave_in_flight_is_a_desync"],
     ),
     Mutant(
         "typed_message_in_flight",
         "protocol.py",
-        '        if self._pulses is not None:\n            self._desync(f"typed message',
-        '        if False:\n            self._desync(f"typed message',
+        "        if msg is _PULSE:\n",
+        "        if msg is _PULSE and sends[0][1] is _PULSE:\n",
         [PROTOCOL_TESTS + "test_a_typed_message_while_a_wave_is_in_flight_is_a_desync"],
     ),
     Mutant(
         "wave_at_or_before_typed",
         "protocol.py",
-        "        if last >= start:\n",
+        "        if r <= last:\n",
         "        if False:\n",
         [PROTOCOL_TESTS + "test_a_wave_at_or_before_a_queued_typed_message_is_a_desync"],
     ),
     Mutant(
         "wave_on_a_typed_round",
         "protocol.py",
-        "        if last >= start:\n",
-        "        if last > start:\n",
+        "        if r <= last:\n",
+        "        if r < last:\n",
         [PROTOCOL_TESTS + "test_a_wave_at_or_before_a_queued_typed_message_is_a_desync"],
+    ),
+    Mutant(
+        "send_order_not_checked",
+        "protocol.py",
+        "        if r <= last:\n",
+        "        if r == last:\n",
+        [PROTOCOL_TESTS + "test_a_typed_message_before_a_queued_one_is_a_desync"],
     ),
     Mutant(
         "train_not_cut_at_timer",
         "protocol.py",
-        "        return pulses[self._head : bisect_left(pulses, self._timer[0], self._head)]\n",
-        "        return pulses[self._head :]\n",
+        "        end = len(sends) if timer is None else bisect_left(sends, timer[0], head, key=itemgetter(0))\n",
+        "        end = len(sends)\n",
         [PROTOCOL_TESTS + "test_the_timer_cuts_the_train"],
     ),
     # the one timer slot and the handler slot
@@ -93,8 +101,8 @@ MUTANTS = [
         "timer_cleared_after_its_step",
         "protocol.py",
         "            self._timer = None  # cleared first: steps re-arm\n"
-        "            timer[1](timer[0], *timer[2])\n",
-        "            timer[1](timer[0], *timer[2])\n"
+        "            timer[1](timer[0])\n",
+        "            timer[1](timer[0])\n"
         "            self._timer = None\n",
         [PROTOCOL_TESTS + "test_member_without_an_account_retries_one_block_later"],
     ),
@@ -292,17 +300,29 @@ MUTANTS = [
         "trace_out.write(result.trace.format_text())",
         [CLI_TESTS + "test_a_traced_run_does_not_hold_its_trace_text"],
     ),
-    # a run's output files are opened before it simulates
+    # a run's output files are opened before it simulates, all or none
     Mutant(
         "outputs_opened_after_the_run",
         "cli.py",
-        "        trace_out = _output(files, args.trace) if args.trace else None\n"
-        "        report_out = _output(files, args.report) if args.report else None\n"
+        "        trace_out, report_out = _outputs(files, args.trace, args.report)\n"
         "        result = run_protocol(g, record_trace=trace_out is not None)\n",
         "        result = run_protocol(g, record_trace=bool(args.trace))\n"
-        "        trace_out = _output(files, args.trace) if args.trace else None\n"
-        "        report_out = _output(files, args.report) if args.report else None\n",
+        "        trace_out, report_out = _outputs(files, args.trace, args.report)\n",
         [CLI_TESTS + "test_an_output_that_cannot_be_written_fails_before_the_run"],
+    ),
+    Mutant(
+        "output_emptied_by_its_check",
+        "cli.py",
+        "os.close(os.open(path, os.O_WRONLY))",
+        "os.close(os.open(path, os.O_WRONLY | os.O_TRUNC))",
+        [CLI_TESTS + "test_an_output_that_cannot_be_opened_leaves_every_output_as_it_was"],
+    ),
+    Mutant(
+        "created_output_kept",
+        "cli.py",
+        "            os.remove(path)\n",
+        "            pass\n",
+        [CLI_TESTS + "test_an_output_that_cannot_be_opened_leaves_every_output_as_it_was"],
     ),
     # a finished node keeps what it learned, not its stages' scratch
     Mutant(
@@ -322,7 +342,7 @@ MUTANTS = [
     Mutant(
         "drained_outbox_keeps_its_table",
         "protocol.py",
-        "        if msg is not None and not self._outbox:\n",
+        "        if self._head == len(sends):  # drained: keep no spent list\n",
         "        if False:\n",
         [PROTOCOL_TESTS + "test_stage_scratch_lives_only_while_its_stage_runs"],
     ),

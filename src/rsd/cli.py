@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import ExitStack
-from typing import Optional, TextIO
+from typing import List, Optional, TextIO
 
 from . import generators
 from .graphs import Graph, decompose, parse_graph
@@ -29,6 +30,28 @@ def _output(files: ExitStack, path: Optional[str]) -> TextIO:
     if path is None or path == "-":
         return sys.stdout
     return files.enter_context(open(path, "w", encoding="utf-8"))
+
+
+def _outputs(files: ExitStack, *paths: Optional[str]) -> List[Optional[TextIO]]:
+    """`_output` of each path given, None for one not given, opened all or
+    none: each file is first checked for writing without being emptied, and
+    created if missing.  If one check fails, the files it created are removed
+    and the error raised, so every path is left as it was."""
+    created = []
+    try:
+        for path in paths:
+            if not path or path == "-":
+                continue
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                created.append(path)
+            except FileExistsError:
+                os.close(os.open(path, os.O_WRONLY))
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+    return [_output(files, path) if path else None for path in paths]
 
 
 def _write(path: Optional[str], content: str) -> None:
@@ -107,9 +130,9 @@ def cmd_label(args) -> int:
 def cmd_run(args) -> int:
     g = _read_graph(args.graph)
     with ExitStack() as files:
-        # opened before the run: a path that cannot be written costs no simulation
-        trace_out = _output(files, args.trace) if args.trace else None
-        report_out = _output(files, args.report) if args.report else None
+        # opened before the run: a path that cannot be written costs no
+        # simulation and changes no output
+        trace_out, report_out = _outputs(files, args.trace, args.report)
         result = run_protocol(g, record_trace=trace_out is not None)
         if trace_out is not None:
             trace_out.writelines(result.trace.iter_text())

@@ -27,12 +27,12 @@ deeper node: root-initiated waves are relayed only by upper-set members
 the 2h-block propagation budget allows.  Without that suppression, the
 final level's echo would collide with the hop relay that follows.
 
-A node sends one wave at a time, kept as the ascending list of its pulse
-rounds next to its typed messages by round.  Its sends never overlap: an x
-or T relay ends by t2' or the next t2, and a root wave ends before the
-value it leads to is sent.  So a second wave in flight, a typed message
-while one is in flight, or a wave at or before a queued typed message
-comes only from a forged alignment and is a desync.
+A node keeps its pending sends in one list of (round, message) pairs in
+ascending round order: typed messages, then at most one wave, whose pulses
+come last.  Its sends never overlap: an x or T relay ends by t2' or the
+next t2, and a root wave ends before the value it leads to is sent.  So a
+send queued behind a wave in flight, or at or before the last queued
+round, comes only from a forged alignment and is a desync.
 Only a node that starts a wave lists its pulses (`wave_pulses`); a relay
 repeats the pulse rounds it heard from the accepted start, one hop later.
 The listener decodes a wave arithmetically from its list of pulse rounds:
@@ -41,13 +41,15 @@ and decoder.
 
 The procedures are sequential, so a node waits for one timed step at a time
 (a phase, block or final start, or a member's block-final stop decision) in
-one timer slot; it fires before the node decides its round, once everything
-heard in earlier rounds has been delivered.
+one timer slot, a (round, step) pair; it fires before the node decides its
+round, once everything heard in earlier rounds has been delivered, and the
+step runs with the round it was armed for.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .graphs import Graph, LevelDecomposition, decompose
@@ -208,17 +210,16 @@ class SizeDiscoveryNode:
     only its O(1) state, as the paper's node does.  A stage's scratch lives
     only while the stage runs: the root's degree bits from `root_collect`
     until it knows the degree, and a member's block account from
-    `member_blocks` until its stop; otherwise each is None.  An outbox that
-    drains is replaced by a fresh empty one, so no grown table stays.  A
-    finished node thus holds what it learned, and nodes booted from equal
-    labels share one `Label`.
+    `member_blocks` until its stop; otherwise each is None, as is the send
+    list once it drains.  A finished node thus holds what it learned, and
+    nodes booted from equal labels share one `Label`.
     """
 
     __slots__ = (
         "label", "node_id", "events", "stage",
         "delta", "m", "level", "h", "t1", "weight", "output",
         "phase", "t2", "x_i", "t2p", "tau",
-        "_outbox", "_pulses", "_head", "_timer", "_on_obs", "_listener", "_on_wave",
+        "_sends", "_head", "_timer", "_on_obs", "_listener", "_on_wave",
         "_delta_bits", "_window_clean", "_tags_heard", "_reports_heard",
     )
 
@@ -241,10 +242,9 @@ class SizeDiscoveryNode:
         self.t2p: Optional[int] = None
         self.tau: Optional[int] = None
 
-        self._outbox: Dict[int, Message] = {}  # typed messages by round
-        self._pulses: Optional[List[int]] = None  # pulse rounds of the one wave in flight, ascending
-        self._head = 0  # index of the first pending pulse in _pulses
-        self._timer: Optional[Tuple[int, Callable[..., None], tuple]] = None
+        self._sends: Optional[List[Tuple[int, Message]]] = None  # pending (round, message), ascending
+        self._head = 0  # index of the first pending send in _sends
+        self._timer: Optional[Tuple[int, Callable[[int], None]]] = None
         self._on_obs: Optional[_Handler] = None
         self._listener: Optional[WaveListener] = None
         self._on_wave: Optional[Callable[[int, dict], None]] = None
@@ -269,19 +269,19 @@ class SizeDiscoveryNode:
 
     @property
     def done(self) -> bool:
-        return self.output is not None and not self._outbox and self._pulses is None
+        return self.output is not None and self._sends is None
 
     def decide(self, r: int) -> Optional[Message]:
         self._fire(r)
-        pulses = self._pulses
-        if pulses is not None and pulses[self._head] == r:
-            self._head += 1
-            if self._head == len(pulses):  # the last pulse: drop the run
-                self._pulses, self._head = None, 0
-            return _PULSE
-        msg = self._outbox.pop(r, None)
-        if msg is not None and not self._outbox:
-            self._outbox = {}  # drained: keep no grown table
+        sends = self._sends
+        if sends is None:
+            return None
+        q, msg = sends[self._head]
+        if q != r:
+            return None
+        self._head += 1
+        if self._head == len(sends):  # drained: keep no spent list
+            self._sends, self._head = None, 0
         return msg
 
     def observe(self, r: int, obs: Observation) -> None:
@@ -304,25 +304,24 @@ class SizeDiscoveryNode:
 
     def next_transmit_round(self, r: int) -> Optional[int]:
         self._fire(r)
-        nxt = min(self._outbox) if self._outbox else None
-        if self._timer is not None and (nxt is None or self._timer[0] < nxt):
-            nxt = self._timer[0]
-        pulses = self._pulses
-        if pulses is not None and (nxt is None or pulses[self._head] < nxt):
-            return pulses[self._head]
+        nxt = None if self._sends is None else self._sends[self._head][0]
+        timer = self._timer
+        if timer is not None and (nxt is None or timer[0] < nxt):
+            return timer[0]
         return nxt
 
     def train(self, r: int) -> List[int]:
-        """The pending pulse rounds of the wave in flight from r on, before
-        the timer, when r is a pulse round.  No typed message lies inside a
-        wave, so only the timer cuts it.  A typed message at r is a train of
-        one round."""
-        pulses = self._pulses
-        if pulses is None or pulses[self._head] != r:
-            return [r] if r in self._outbox else []
-        if self._timer is None:
-            return pulses[self._head :]
-        return pulses[self._head : bisect_left(pulses, self._timer[0], self._head)]
+        """The pending send rounds from r on, when r is the first of them:
+        a typed message is a train of one round; a pulse is followed only
+        by the rest of its wave, cut before the timer."""
+        sends, head = self._sends, self._head
+        if sends is None or sends[head][0] != r:
+            return []
+        if sends[head][1] is not _PULSE:
+            return [r]
+        timer = self._timer
+        end = len(sends) if timer is None else bisect_left(sends, timer[0], head, key=itemgetter(0))
+        return [q for q, _ in sends[head:end]]
 
     def reacts_at(self, rounds: List[int], obs: Observation) -> Optional[int]:
         """The first of `rounds` at which hearing `obs` could act: with a
@@ -349,40 +348,40 @@ class SizeDiscoveryNode:
     # -- internal plumbing --
 
     def _schedule(self, r: int, msg: Message) -> None:
-        """Queue a typed message for round r, outside any wave."""
-        if self._pulses is not None:
-            self._desync(f"typed message for round {r} while a wave is in flight", r)
-        if r in self._outbox:
-            self._desync(f"transmission already scheduled for round {r}", r)
-        self._outbox[r] = msg
+        """Queue a typed message for round r."""
+        self._send([(r, msg)])
 
     def _start_wave(self, start: int, value: int) -> None:
         """Send a wave of `value` whose first pulse is in round `start`."""
-        self._send_pulses([start + i for i in wave_pulses(value)])
+        self._send([(start + i, _PULSE) for i in wave_pulses(value)])
 
-    def _send_pulses(self, rounds: List[int]) -> None:
-        """Send a wave whose pulse rounds are `rounds` (ascending, a list the
-        node may keep).  The relays and root waves of the procedures never
-        overlap a node's other sends (see the module docstring), so a second
-        wave in flight, or a typed message queued at or after the wave's
-        first round, is a desync."""
-        start = rounds[0]
-        if self._pulses is not None:
-            self._desync(f"wave from round {start} while a wave is in flight", start)
-        last = max(self._outbox, default=0)
-        if last >= start:
-            self._desync(f"wave from round {start} at or before the typed message in round {last}", start)
-        self._pulses, self._head = rounds, 0
+    def _send(self, sends: List[Tuple[int, Message]]) -> None:
+        """Queue `sends`, (round, message) pairs in ascending round order
+        (a list the node may keep), behind the pending ones.  The procedures'
+        sends never overlap (see the module docstring), so a send behind a
+        wave in flight, or at or before the last queued round, is a desync
+        in the round of the first of `sends`."""
+        r = sends[0][0]
+        queued = self._sends
+        if queued is None:
+            self._sends, self._head = sends, 0
+            return
+        last, msg = queued[-1]
+        if msg is _PULSE:
+            self._desync(f"send in round {r} behind a wave in flight", r)
+        if r <= last:
+            self._desync(f"send in round {r} at or before the one queued for round {last}", r)
+        queued.extend(sends)
 
-    def _arm(self, r: int, step: Callable[..., None], *args) -> None:
+    def _arm(self, r: int, step: Callable[[int], None]) -> None:
         assert self._timer is None, "a node waits for one timed step at a time"
-        self._timer = (r, step, args)
+        self._timer = (r, step)
 
     def _fire(self, r: int) -> None:
         timer = self._timer
         if timer is not None and timer[0] <= r:
             self._timer = None  # cleared first: steps re-arm
-            timer[1](timer[0], *timer[2])
+            timer[1](timer[0])
 
     def _enter(self, stage: str, on_obs: Optional[_Handler] = None) -> None:
         """The one writer of `stage`; `on_obs` is None while idle or awaiting a wave."""
@@ -420,7 +419,7 @@ class SizeDiscoveryNode:
         if (self.label.has(4) if d is None else d < 2 * self.h):
             start = got["start"]
             shift = r + 1 - start
-            self._send_pulses([c + shift for c in heard[bisect_left(heard, start) :]])
+            self._send([(c + shift, _PULSE) for c in heard[bisect_left(heard, start) :]])
 
     # -- wave validators --
     #
@@ -553,13 +552,13 @@ class SizeDiscoveryNode:
         self._event("h", r, self.h)
         self._event("t1", r, self.t1)
         self.t2 = self.t1
-        self._arm(self.t1 + 1, self._on_phase_start, 1)
+        self._arm(self.t1 + 1, self._on_phase_start)
         self._enter("idle_until_phase")
 
     # -- phases --
 
-    def _on_phase_start(self, r: int, i: int) -> None:
-        self.phase = i
+    def _on_phase_start(self, r: int) -> None:
+        self.phase = i = self.phase + 1
         assert self.t2 is not None and r == self.t2 + 1
         # non-members weigh 1: the deepest level from phase 1, level h - i from phase i
         if self.weight is None and not self.label.has(4) and self.level >= self.h - i:
@@ -589,7 +588,7 @@ class SizeDiscoveryNode:
         assert self.t2p is not None and r == self.t2p + 1
         if self.level == self.h - self.phase + 1:
             self._enter("child_blocks", self._obs_child_blocks)
-            self._on_child_block(r, 1)
+            self._on_child_block(r)
         elif self.level == self.h - self.phase and self.label.has(4):
             self._window_clean, self._tags_heard, self._reports_heard = True, {}, {}
             self._arm(self.t2p + self.tau, self._on_block_end)
@@ -599,10 +598,10 @@ class SizeDiscoveryNode:
 
     # children ---------------------------------------------------------------
 
-    def _on_child_block(self, r: int, j: int) -> None:
-        """Block j: schedule this child's tag and report slots; a tagged child
-        repeats them every block until its member stops."""
-        base = self.t2p + (j - 1) * self.tau
+    def _on_child_block(self, r: int) -> None:
+        """The block after round r - 1: schedule this child's tag and report
+        slots; a tagged child repeats them every block until its member stops."""
+        base = r - 1
         l2, l3 = self.label.l2, self.label.l3
         if l2.active():
             self._schedule(base + l2.id, CollisionTagMsg(l2))
@@ -611,7 +610,7 @@ class SizeDiscoveryNode:
             slot = base + report_slot(self.m, self.weight, l3.id)
             self._schedule(slot, WeightReport(l3, self.weight))
         if l2.active() or l3.active():
-            self._arm(base + self.tau + 1, self._on_child_block, j + 1)
+            self._arm(base + self.tau + 1, self._on_child_block)
 
     def _obs_child_blocks(self, r: int, obs: Observation) -> None:
         off = r - self.t2p
@@ -685,7 +684,7 @@ class SizeDiscoveryNode:
         self.t2 = big_t + 2 * self.h * wave_span(big_t)
         self._event("t2", self.phase + 1, r, self.t2)
         if self.phase < self.h:
-            self._arm(self.t2 + 1, self._on_phase_start, self.phase + 1)
+            self._arm(self.t2 + 1, self._on_phase_start)
         else:
             self._arm(self.t2 + 1, self._on_final_start)
         self._enter("idle_until_phase")

@@ -425,6 +425,39 @@ def test_an_output_that_cannot_be_written_fails_before_the_run(tmp_path, monkeyp
     assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
+@pytest.mark.parametrize("bad", ["--trace", "--report"])
+@pytest.mark.parametrize("good_exists", [True, False], ids=["existing", "new"])
+def test_an_output_that_cannot_be_opened_leaves_every_output_as_it_was(
+    tmp_path, monkeypatch, capsys, bad, good_exists
+):
+    # the other output is neither emptied nor created
+    calls = []
+    monkeypatch.setattr(cli, "run_protocol", lambda *a, **k: calls.append(a))
+    g, good, missing = tmp_path / "k2.g", tmp_path / "out.txt", tmp_path / "missing" / "out.txt"
+    g.write_text("2 1\n0 1\n")
+    if good_exists:
+        good.write_bytes(b"kept")
+    paths = {"--trace": good, "--report": good, bad: missing}
+    assert run_cli("run", str(g), "--trace", str(paths["--trace"]), "--report", str(paths["--report"])) == 2
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    if good_exists:
+        assert good.read_bytes() == b"kept"
+    else:
+        assert not good.exists()
+
+
+def test_a_run_replaces_the_outputs_that_exist(tmp_path):
+    g, trace, report = tmp_path / "k2.g", tmp_path / "trace.txt", tmp_path / "report.json"
+    g.write_text("2 1\n0 1\n")
+    trace.write_text("x" * 100_000)
+    report.write_text("x" * 100_000)
+    assert run_cli("run", str(g), "--trace", str(trace), "--report", str(report)) == 0
+    assert "x" not in read(trace) and json.loads(read(report))["outputs_ok"] is True
+
+
 def test_run_report_counts_rounds_up_to_a_failure(tmp_path, monkeypatch):
     real = SizeDiscoveryNode.decide
 
@@ -442,7 +475,7 @@ def test_run_report_counts_rounds_up_to_a_failure(tmp_path, monkeypatch):
 
 def test_run_reports_a_fault_in_next_transmit_round(tmp_path, monkeypatch, capsys):
     # phase 1 starts on an alarm that the engine's next-transmission query fires
-    def on_phase_start(self, r, i):
+    def on_phase_start(self, r):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(SizeDiscoveryNode, "_on_phase_start", on_phase_start)

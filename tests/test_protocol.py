@@ -210,7 +210,7 @@ def test_events_are_kept_only_when_asked_for():
 
 def test_a_run_without_the_event_log_holds_constant_state_per_node():
     # path(200) runs h = 198 phases.  Without the log a node keeps its
-    # slots, a label shared with equal labels, its outbox, the scratch of
+    # slots, a label shared with equal labels, its pending sends, the scratch of
     # the stage it is in (the degree tags or one block's account) and the
     # pulse rounds heard while it awaits one wave: well under 1.5 KiB
     # whatever h is, plus its share of the graph, labels and oracle tables.
@@ -232,8 +232,8 @@ def test_a_run_without_the_event_log_holds_constant_state_per_node():
 def test_a_finished_run_retains_under_1200_bytes_per_node():
     # what a result keeps per node: its automaton's slots and what it
     # learned, the shared labels and strings, and its share of the graph
-    # and oracle tables (about 930 bytes here; 1,980 with an instance dict,
-    # stage scratch, a drained outbox's table and one label per node)
+    # and oracle tables (about 860 bytes here; 1,980 with an instance dict,
+    # stage scratch, a drained table of sends and one label per node)
     g = random_tree(300, 8, 1)
     tracemalloc.start()
     try:
@@ -264,11 +264,10 @@ def test_stage_scratch_lives_only_while_its_stage_runs():
     res = run_protocol(random_tree(300, 8, 1))
     assert res.ok and res.decomposition.h == 13
     assert sum(res.scheme.labels[v].has(4) for v in range(300)) == 157
-    empty = sys.getsizeof({})
     for v, node in res.nodes.items():
         assert node._delta_bits is None, v
         assert node._window_clean is node._tags_heard is node._reports_heard is None, v
-        assert node._outbox == {} and sys.getsizeof(node._outbox) == empty, v
+        assert node._sends is None, v
 
 
 def test_root_refuses_a_degree_of_zero():
@@ -461,7 +460,7 @@ def test_failed_run_reports_the_failing_round(monkeypatch):
 def test_fault_in_next_transmit_round_is_a_run_failure(monkeypatch):
     # alarms fire when the engine asks a node for its next transmission, so a
     # fault there ends the run as a fault in decide or observe does
-    def on_phase_start(self, r, i):
+    def on_phase_start(self, r):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(SizeDiscoveryNode, "_on_phase_start", on_phase_start)
@@ -931,7 +930,7 @@ def test_arithmetic_listener_offers_what_the_string_decoder_offers(schedule, mod
     assert _offers(WaveListener, schedule, picky) == _offers(StringWindowListener, schedule, picky)
 
 
-# --- the outbox: typed messages by round, one wave in flight -------------------
+# --- the send list: typed messages, then at most one wave, in round order ------
 
 
 def _pulse_rounds(start, value):
@@ -961,7 +960,7 @@ def test_a_second_wave_in_flight_is_a_desync():
                     assert node.decide(q) == radio.WavePulse()
                 node._start_wave(start, value)
 
-            assert _desync(second_wave) == (start, f"wave from round {start} while a wave is in flight")
+            assert _desync(second_wave) == (start, f"send in round {start} behind a wave in flight")
     # once the last pulse is sent, the next wave goes out
     node = _hand_set_node()
     node._start_wave(100, 5)
@@ -977,7 +976,7 @@ def test_a_typed_message_while_a_wave_is_in_flight_is_a_desync():
             node._start_wave(100, 5)
             node._schedule(r, radio.Stop())
 
-        assert _desync(typed_in_flight) == (r, f"typed message for round {r} while a wave is in flight")
+        assert _desync(typed_in_flight) == (r, f"send in round {r} behind a wave in flight")
 
 
 def test_a_wave_at_or_before_a_queued_typed_message_is_a_desync():
@@ -988,7 +987,7 @@ def test_a_wave_at_or_before_a_queued_typed_message_is_a_desync():
             node._start_wave(start, 5)
 
         assert _desync(wave_over_typed) == (
-            start, f"wave from round {start} at or before the typed message in round 106"
+            start, f"send in round {start} at or before the one queued for round 106"
         )
 
 
@@ -1001,7 +1000,7 @@ def test_a_stop_then_a_wave_from_the_next_round_is_sent_in_order():
     assert node.decide(99) == radio.Stop()
     assert node.next_transmit_round(99) == 100 and node.train(100) == _pulse_rounds(100, 5)
     assert [node.decide(q) for q in _pulse_rounds(100, 5)] == [radio.WavePulse()] * 4
-    assert node._pulses is None and not node._outbox
+    assert node._sends is None
 
 
 def test_typed_over_typed_clashes_at_the_taken_round():
@@ -1009,7 +1008,17 @@ def test_typed_over_typed_clashes_at_the_taken_round():
         node._schedule(104, radio.Stop())
         node._schedule(104, radio.HopValue(3))
 
-    assert _desync(typed_over_typed) == (104, "transmission already scheduled for round 104")
+    assert _desync(typed_over_typed) == (104, "send in round 104 at or before the one queued for round 104")
+
+
+def test_a_typed_message_before_a_queued_one_is_a_desync():
+    # a node queues its sends in round order: a stop for round 102 behind a
+    # depth report for round 104 would be sent out of order
+    def typed_before_typed(node):
+        node._schedule(104, radio.HopValue(3))
+        node._schedule(102, radio.Stop())
+
+    assert _desync(typed_before_typed) == (102, "send in round 102 at or before the one queued for round 104")
 
 
 def test_the_timer_cuts_the_train():
@@ -1032,7 +1041,7 @@ def test_node_is_not_done_while_a_pulse_is_pending_and_keeps_no_spent_run():
         assert node.next_transmit_round(q) == q
         assert node.decide(q) == radio.WavePulse()
     assert node.done and node.next_transmit_round(rounds[-1] + 1) is None
-    assert node._pulses is None
+    assert node._sends is None
 
 
 def test_a_typed_message_heard_inside_a_wave_refuses_it():
@@ -1065,7 +1074,7 @@ def test_relay_repeats_the_heard_pulses_one_hop_later(value):
     expected = _pulse_rounds(r + 1, value)
     assert node.next_transmit_round(r + 1) == r + 1 and node.train(r + 1) == expected
     assert [q for q in range(r + 1, r + 2 + span) if node.decide(q) is not None] == expected
-    assert node._pulses is None
+    assert node._sends is None
 
 
 def test_protocol_trace_model_soundness():

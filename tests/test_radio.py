@@ -466,3 +466,20 @@ def test_round_cap_inside_a_train(monkeypatch):
 
     for cap in range(0, 10):
         _engines_agree(g, build, cap, monkeypatch)
+
+
+@pytest.mark.parametrize("method, node", [("train", 0), ("reacts_at", 1), ("absorb", 1)])
+def test_a_fault_in_a_window_names_its_method_round_and_node(method, node):
+    # node 0's train opens a window at round 2; node 1 reacts at round 3, so
+    # it absorbs round 2
+    autos = {0: Pulser(_pulses(2, 3, 5, 6, 7)), 1: Pulser(reply_after=2), 2: Pulser()}
+
+    def fault(*args):
+        raise RuntimeError("injected fault")
+
+    setattr(autos[node], method, fault)
+    with pytest.raises(SimulationError) as err:
+        run_scheduled(path(3), autos, 20)
+    assert (err.value.round_no, err.value.node) == (2, node)
+    assert str(err.value) == f"round 2, node {node}: automaton failed in {method}: injected fault"
+    assert isinstance(err.value.__cause__, RuntimeError)
