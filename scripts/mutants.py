@@ -124,23 +124,55 @@ MUTANTS = [
     Mutant(
         "relay_root_wave_from_every_node",
         "protocol.py",
-        "if (self.label.has(4) if d is None",
-        "if (True if d is None",
+        " else self.label.has(4)):\n",
+        " else True):\n",
         [PROTOCOL_TESTS + "test_k2_run"],
     ),
     Mutant(
         "relay_budget_one_hop_longer",
         "protocol.py",
-        "else d < 2 * self.h):",
-        "else d <= 2 * self.h):",
+        "if (hop < 2 * self.h if self._mid_phase",
+        "if (hop <= 2 * self.h if self._mid_phase",
         [PROTOCOL_TESTS + "test_star4_run_and_phase_weights"],
     ),
     Mutant(
         "relay_budget_one_hop_shorter",
         "protocol.py",
-        "else d < 2 * self.h):",
-        "else d < 2 * self.h - 1):",
+        "if (hop < 2 * self.h if self._mid_phase",
+        "if (hop < 2 * self.h - 1 if self._mid_phase",
         [PROTOCOL_TESTS + "test_star4_run_and_phase_weights"],
+    ),
+    # the one hop rule, its quiet window and the validators' bounds
+    Mutant(
+        "quiet_window_refuses_its_own_round",
+        "protocol.py",
+        "    return None if prev > quiet_from else",
+        "    return None if prev >= quiet_from else",
+        [PROTOCOL_TESTS + "test_wave_needs_a_quiet_window_before_its_front"],
+    ),
+    Mutant(
+        "hop_zero_accepted",
+        "protocol.py",
+        "    if rem or d < 1:\n",
+        "    if rem or d < 0:\n",
+        [
+            PROTOCOL_TESTS + "test_wave_is_dated_from_its_first_hop",
+            PROTOCOL_TESTS + "test_wave_hop_names_the_one_hop_that_ends_in_round_r",
+        ],
+    ),
+    Mutant(
+        "mid_phase_wave_one_hop_shorter",
+        "protocol.py",
+        "d <= 2 * self.h else None",
+        "d < 2 * self.h else None",
+        [PROTOCOL_TESTS + "test_mid_phase_wave_travels_at_most_twice_the_depth"],
+    ),
+    Mutant(
+        "h_echo_window_one_level_longer",
+        "protocol.py",
+        "min(self.level + 2, value)",
+        "min(self.level + 3, value)",
+        [PROTOCOL_TESTS + "test_h_wave_quiet_window_ends_two_levels_of_degree_echo_below"],
     ),
     # a heard message is a pulse only if it is one, and any other marks the listener
     Mutant(
@@ -300,7 +332,29 @@ MUTANTS = [
         "trace_out.write(result.trace.format_text())",
         [CLI_TESTS + "test_a_traced_run_does_not_hold_its_trace_text"],
     ),
-    # a run's output files are opened before it simulates, all or none
+    # a run's output files are opened before it simulates, all or none, and
+    # never two on one file
+    Mutant(
+        "outputs_on_one_file_allowed",
+        "cli.py",
+        "            if _same_file(other, path):\n",
+        "            if False:\n",
+        [CLI_TESTS + "test_two_outputs_on_one_file_are_refused_before_the_run"],
+    ),
+    Mutant(
+        "hard_links_not_compared",
+        "cli.py",
+        "        return os.path.samefile(a, b)  # hard links\n",
+        "        return False\n",
+        [CLI_TESTS + "test_two_outputs_on_one_file_are_refused_before_the_run"],
+    ),
+    Mutant(
+        "report_printed_twice",
+        "cli.py",
+        "if report_out is not None and report_out is not sys.stdout:",
+        "if report_out is not None:",
+        [CLI_TESTS + "test_a_report_to_stdout_is_printed_once"],
+    ),
     Mutant(
         "outputs_opened_after_the_run",
         "cli.py",

@@ -32,11 +32,27 @@ def _output(files: ExitStack, path: Optional[str]) -> TextIO:
     return files.enter_context(open(path, "w", encoding="utf-8"))
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b resolve to one file, existing or not."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)  # hard links
+    except OSError:  # one of them does not exist
+        return False
+
+
 def _outputs(files: ExitStack, *paths: Optional[str]) -> List[Optional[TextIO]]:
     """`_output` of each path given, None for one not given, opened all or
-    none: each file is first checked for writing without being emptied, and
-    created if missing.  If one check fails, the files it created are removed
-    and the error raised, so every path is left as it was."""
+    none: two paths that resolve to one file are refused (ValueError), then
+    each file is checked for writing without being emptied, and created if
+    missing.  If one check fails, the files it created are removed and the
+    error raised, so every path is left as it was."""
+    named = [path for path in paths if path and path != "-"]
+    for i, path in enumerate(named):
+        for other in named[:i]:
+            if _same_file(other, path):
+                raise ValueError(f"two outputs name the same file: {other} and {path}")
     created = []
     try:
         for path in paths:
@@ -137,7 +153,7 @@ def cmd_run(args) -> int:
         if trace_out is not None:
             trace_out.writelines(result.trace.iter_text())
         report = _stable_json(result.report(g))
-        if report_out is not None:
+        if report_out is not None and report_out is not sys.stdout:
             report_out.write(report)
     sys.stdout.write(report)
     if not result.ok:

@@ -19,13 +19,14 @@ object itself when one neighbor sends), in three procedures:
 Flooding (the wave subroutine) encodes a value bit-serially: 1 -> 10,
 0 -> 00, terminated by 11, spreading level by level with each level
 occupying 2k+2 rounds.  A node awaits each wave the same way (`_await`),
-dates it by one rule (`_hop`: the hop d >= 1 on which a wave sent from a
-known round ends, behind a quiet window), and relays every accepted wave by
-one rule (`_relay`), which suppresses relaying where it cannot serve a
-deeper node: root-initiated waves are relayed only by upper-set members
-(whose neighborhoods cover the next level), and mid-phase waves only while
-the 2h-block propagation budget allows.  Without that suppression, the
-final level's echo would collide with the hop relay that follows.
+dates it by one rule (`wave_hop`: the hop d >= 1 on which a wave sent from a
+known round ends, behind a quiet window), and relays every accepted wave,
+the record (value, hop, pulses heard from its start), by one rule
+(`_relay`), which suppresses relaying where it cannot serve a deeper node:
+root-initiated waves are relayed only by upper-set members (whose
+neighborhoods cover the next level), and mid-phase waves only while the
+2h-block propagation budget allows.  Without that suppression, the final
+level's echo would collide with the hop relay that follows.
 
 A node keeps its pending sends in one list of (round, message) pairs in
 ascending round order: typed messages, then at most one wave, whose pulses
@@ -47,7 +48,7 @@ step runs with the round it was armed for.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -115,6 +116,24 @@ def wave_span(x: int) -> int:
     return 2 * bitlen(x) + 2
 
 
+def wave_hop(origin: int, value: int, r: int) -> Optional[int]:
+    """The hop d >= 1 of a wave of `value` sent from round `origin` that
+    ends in round r, where hop d ends at origin + d * wave_span(value);
+    None if r ends no hop."""
+    d, rem = divmod(r - origin, wave_span(value))
+    if rem or d < 1:
+        return None
+    return d
+
+
+def _quiet_hop(origin: int, value: int, r: int, prev: int, quiet_from: int) -> Optional[int]:
+    """`wave_hop` behind a quiet window: None also if `prev`, the pulse heard
+    just before the wave's start (0 if none), came after `quiet_from`, the
+    round by which every echo of earlier traffic would have ended were the
+    value true (echoes of an earlier wave can mimic a shorter wave)."""
+    return None if prev > quiet_from else wave_hop(origin, value, r)
+
+
 def depth_report_round(delta: int, h: int) -> int:
     """Round in which the depth report reaches the root: the degree wave
     needs h hops after the bitlen(delta) tag rounds, the report h more."""
@@ -142,17 +161,18 @@ class WaveListener:
     decodes the pattern from each candidate start, oldest first, that
     follows the last clean typed message, fits MAX_WAVE_BITS and spans
     whole pairs; a start whose pulses wave_pulses could not have listed is
-    skipped.  The validator gets (value, finish_round) and accepts by
-    returning a context dict, to which the listener adds the value and the
-    start; since it checks exact round arithmetic, only the true alignment
-    is accepted.
+    skipped.  The validator gets (value, finish_round, prev), where prev is
+    the pulse heard just before the start (0 if none), and accepts by
+    returning the wave's hop; the listener then returns the record (value,
+    hop, the pulse rounds from the start on).  Since the validator checks
+    exact round arithmetic, only the true alignment is accepted.
     Rounds the node spent transmitting count as silent.  A listener serves
     one wave: `SizeDiscoveryNode.observe` drops it once it has accepted one.
     """
 
     __slots__ = ("validator", "cands", "typed")
 
-    def __init__(self, validator: Callable[[int, int], Optional[dict]]):
+    def __init__(self, validator: Callable[[int, int, int], Optional[int]]):
         self.validator = validator
         self.cands: List[int] = []  # ascending pulse rounds; each is a candidate wave start
         self.typed = 0  # round of the last clean typed message: no wave spans it
@@ -161,7 +181,7 @@ class WaveListener:
         """A clean non-pulse message: no wave is in the air at round r."""
         self.typed = r
 
-    def pulse(self, r: int) -> Optional[dict]:
+    def pulse(self, r: int) -> Optional[Tuple[int, int, List[int]]]:
         """A non-silent round: record it and, if it closes an 11 pair, decode.
 
         A start s decodes iff r - s is odd, s < r - 1 and every pulse in
@@ -185,11 +205,9 @@ class WaveListener:
             first -= 1
             value += 1 << ((r - 1 - c) // 2 - 1)
         for i in range(first, last):  # oldest start first
-            got = self.validator(value, r)
-            if got is not None:
-                got["value"] = value
-                got["start"] = cands[i]
-                return got
+            hop = self.validator(value, r, cands[i - 1] if i else 0)
+            if hop is not None:
+                return value, hop, cands[i:]
             value -= 1 << ((r - 1 - cands[i]) // 2 - 1)
         return None
 
@@ -217,9 +235,9 @@ class SizeDiscoveryNode:
 
     __slots__ = (
         "label", "node_id", "events", "stage",
-        "delta", "m", "level", "h", "t1", "weight", "output",
+        "delta", "m", "level", "h", "weight", "output",
         "phase", "t2", "x_i", "t2p", "tau",
-        "_sends", "_head", "_timer", "_on_obs", "_listener", "_on_wave",
+        "_sends", "_head", "_timer", "_on_obs", "_listener", "_on_wave", "_mid_phase",
         "_delta_bits", "_window_clean", "_tags_heard", "_reports_heard",
     )
 
@@ -232,7 +250,6 @@ class SizeDiscoveryNode:
         self.m: Optional[int] = None
         self.level: Optional[int] = None
         self.h: Optional[int] = None
-        self.t1: Optional[int] = None
         self.weight: Optional[int] = None
         self.output: Optional[int] = None
 
@@ -247,7 +264,8 @@ class SizeDiscoveryNode:
         self._timer: Optional[Tuple[int, Callable[[int], None]]] = None
         self._on_obs: Optional[_Handler] = None
         self._listener: Optional[WaveListener] = None
-        self._on_wave: Optional[Callable[[int, dict], None]] = None
+        self._on_wave: Optional[Callable[[int, int, int], None]] = None
+        self._mid_phase = False  # whether the awaited wave is a mid-phase one
 
         self._delta_bits: Optional[Dict[int, int]] = None  # the root's, in root_collect
         # a member's block window, in member_blocks: its level fixes the one phase it accounts in
@@ -295,10 +313,11 @@ class SizeDiscoveryNode:
         elif _is_pulse(obs):
             got = listener.pulse(r)
             if got is not None:
+                value, hop, pulses = got
                 on_wave = self._on_wave
                 self._listener = self._on_wave = None
-                self._relay(r, got, listener.cands)
-                on_wave(r, got)
+                self._relay(r, hop, pulses)
+                on_wave(r, value, hop)
         elif obs is not SILENCE:  # a message other than a pulse
             listener.typed_message(r)
 
@@ -400,87 +419,63 @@ class SizeDiscoveryNode:
     def _await(
         self,
         stage: str,
-        validator: Callable[[int, int], Optional[dict]],
-        on_wave: Callable[[int, dict], None],
+        validator: Callable[[int, int, int], Optional[int]],
+        on_wave: Callable[[int, int, int], None],
+        mid_phase: bool = False,
     ) -> None:
-        """Enter `stage` and listen for one wave: once `validator` accepts it,
-        `observe` drops the listener, relays the wave and calls `on_wave`."""
+        """Enter `stage` and listen for one wave, a mid-phase one or one the
+        root sent: once `validator` accepts it, `observe` drops the listener,
+        relays the wave and calls `on_wave(r, value, hop)`."""
         self._enter(stage)
         self._listener = WaveListener(validator)
         self._on_wave = on_wave
+        self._mid_phase = mid_phase
 
-    def _relay(self, r: int, got: dict, heard: List[int]) -> None:
-        """The one relay rule: a root-initiated wave (no distance) goes on from
-        upper-set members, whose neighborhoods cover the next level; a
-        mid-phase wave goes on while the 2h-hop budget lasts.  The relay
-        repeats the pulses `heard` from the wave's start, one hop later: the
+    def _relay(self, r: int, hop: int, pulses: List[int]) -> None:
+        """The one relay rule: a root-initiated wave goes on from upper-set
+        members, whose neighborhoods cover the next level; a mid-phase wave
+        goes on while the 2h-hop budget lasts.  The relay repeats `pulses`,
+        the pulse rounds heard from the wave's start, one hop later: the
         start is a pulse, so they are exactly wave_pulses(value), shifted."""
-        d = got.get("distance")
-        if (self.label.has(4) if d is None else d < 2 * self.h):
-            start = got["start"]
-            shift = r + 1 - start
-            self._send([(c + shift, _PULSE) for c in heard[bisect_left(heard, start) :]])
+        if (hop < 2 * self.h if self._mid_phase else self.label.has(4)):
+            shift = r + 1 - pulses[0]
+            self._send([(c + shift, _PULSE) for c in pulses])
 
-    # -- wave validators --
-    #
-    # Every validator checks the exact round at which its wave ends a hop and
-    # then the quiet window: if the decoded value were true, every echo of
-    # earlier traffic audible at this node would have ended by a computable
-    # round, so any untyped non-silence between that round and the claimed
-    # wave front exposes a forged alignment (echo blocks of an earlier wave
-    # can mimic a shorter wave's pattern at exactly the right rounds).
+    # -- wave validators: each returns the accepted wave's hop, or None --
 
-    def _hop(self, start: int, value: int, r: int, quiet_from: int) -> Optional[int]:
-        """The hop d >= 1 of a wave of `value` sent from round `start` that
-        ends in round r, where hop d ends at start + d * wave_span(value).
-        None if r ends no hop, or if an untyped non-silence was heard after
-        `quiet_from` and at or before the wave front r - wave_span(value)."""
-        span = wave_span(value)
-        d, rem = divmod(r - start, span)
-        if rem or d < 1:
-            return None
-        heard = self._listener.cands
-        i = bisect_right(heard, quiet_from)
-        if i < len(heard) and heard[i] <= r - span:
-            return None
-        return d
-
-    def _validate_delta_wave(self, value: int, r: int) -> Optional[dict]:
+    def _validate_delta_wave(self, value: int, r: int, prev: int) -> Optional[int]:
         mb = bitlen(value)
-        level = self._hop(mb, value, r, mb)
-        return None if level is None else {"level": level}
+        return _quiet_hop(mb, value, r, prev, mb)
 
-    def _validate_h_wave(self, value: int, r: int) -> Optional[dict]:
+    def _validate_h_wave(self, value: int, r: int, prev: int) -> Optional[int]:
         assert self.m is not None and self.level is not None
         if self.level > value or (self.h is not None and value != self.h):
             return None
         echo_end = self.m + min(self.level + 2, value) * wave_span(self.delta)
-        if self._hop(depth_report_round(self.delta, value), value, r, echo_end) != self.level:
+        if _quiet_hop(depth_report_round(self.delta, value), value, r, prev, echo_end) != self.level:
             return None
-        return {}
+        return self.level
 
-    def _mid_phase_wave(self, start: int, value: int, r: int) -> Optional[dict]:
-        """A mid-phase wave sent from round `start` travels at most 2h hops."""
-        d = self._hop(start, value, r, start)
-        if d is None or d > 2 * self.h:
-            return None
-        return {"distance": d}
+    def _mid_phase_wave(self, origin: int, value: int, r: int, prev: int) -> Optional[int]:
+        """A mid-phase wave sent from round `origin` travels at most 2h hops."""
+        d = _quiet_hop(origin, value, r, prev, origin)
+        return d if d is not None and d <= 2 * self.h else None
 
-    def _validate_x_wave(self, value: int, r: int) -> Optional[dict]:
+    def _validate_x_wave(self, value: int, r: int, prev: int) -> Optional[int]:
         assert self.t2 is not None and self.h is not None
-        return self._mid_phase_wave(self.t2, value, r)
+        return self._mid_phase_wave(self.t2, value, r, prev)
 
-    def _validate_t_wave(self, value: int, r: int) -> Optional[dict]:
+    def _validate_t_wave(self, value: int, r: int, prev: int) -> Optional[int]:
         assert self.t2p is not None and self.tau is not None and self.h is not None
         if value <= self.t2p or (value - self.t2p) % self.tau != 0:
             return None
-        return self._mid_phase_wave(value, value, r)
+        return self._mid_phase_wave(value, value, r, prev)
 
-    def _validate_n_wave(self, value: int, r: int) -> Optional[dict]:
+    def _validate_n_wave(self, value: int, r: int, prev: int) -> Optional[int]:
         assert self.t2 is not None and self.level is not None
-        if value < 2 or self._hop(self.t2, value, r, self.t2) != self.level:
+        if value < 2 or _quiet_hop(self.t2, value, r, prev, self.t2) != self.level:
             return None
-        return {}
+        return self.level
 
     # -- stage: root collecting degree tags --
 
@@ -518,10 +513,10 @@ class SizeDiscoveryNode:
 
     # -- parameter learning: the degree wave, the hop relay, the depth wave --
 
-    def _got_delta(self, r: int, got: dict) -> None:
-        self.delta = got["value"]
-        self.m = bitlen(self.delta)
-        self.level = got["level"]
+    def _got_delta(self, r: int, value: int, hop: int) -> None:
+        self.delta = value
+        self.m = bitlen(value)
+        self.level = hop
         self._event("delta", r, self.delta)
         self._event("level", r, self.level)
         self._event("wave", "delta", r, self.delta, self.level)
@@ -540,19 +535,18 @@ class SizeDiscoveryNode:
             self._schedule(r + 1, HopValue(self.h))
             self._await("wave_h", self._validate_h_wave, self._got_h)
 
-    def _got_h(self, r: int, got: dict) -> None:
-        self._event("wave", "h", r, got["value"], self.level)
-        self._finish_param_learning(r, got["value"])
+    def _got_h(self, r: int, value: int, hop: int) -> None:
+        self._event("wave", "h", r, value, hop)
+        self._finish_param_learning(r, value)
 
     def _finish_param_learning(self, r: int, h: int) -> None:
         if self.h is not None and self.h != h:
             self._desync(f"depth {h} contradicts earlier value {self.h}", r)
         self.h = h
-        self.t1 = t1_formula(self.delta, self.h)
-        self._event("h", r, self.h)
-        self._event("t1", r, self.t1)
-        self.t2 = self.t1
-        self._arm(self.t1 + 1, self._on_phase_start)
+        self.t2 = t1 = t1_formula(self.delta, h)
+        self._event("h", r, h)
+        self._event("t1", r, t1)
+        self._arm(t1 + 1, self._on_phase_start)
         self._enter("idle_until_phase")
 
     # -- phases --
@@ -570,7 +564,7 @@ class SizeDiscoveryNode:
             self._start_wave(r, self.weight)
             self._enter("idle_until_blocks")
         else:
-            self._await("wave_x", self._validate_x_wave, self._got_x)
+            self._await("wave_x", self._validate_x_wave, self._got_x, mid_phase=True)
 
     def _set_phase_schedule(self, x: int) -> None:
         self.x_i = x
@@ -579,9 +573,9 @@ class SizeDiscoveryNode:
         self._event("x", self.phase, x, self.t2p, self.tau)
         self._arm(self.t2p + 1, self._on_blocks_start)
 
-    def _got_x(self, r: int, got: dict) -> None:
-        self._set_phase_schedule(got["value"])
-        self._event("wave", "x", r, got["value"], got["distance"], self.phase)
+    def _got_x(self, r: int, value: int, hop: int) -> None:
+        self._set_phase_schedule(value)
+        self._event("wave", "x", r, value, hop, self.phase)
         self._enter("idle_until_blocks")
 
     def _on_blocks_start(self, r: int) -> None:
@@ -594,7 +588,7 @@ class SizeDiscoveryNode:
             self._arm(self.t2p + self.tau, self._on_block_end)
             self._enter("member_blocks", self._obs_member_blocks)
         else:
-            self._await("await_phase_end", self._validate_t_wave, self._got_t)
+            self._await("await_phase_end", self._validate_t_wave, self._got_t, mid_phase=True)
 
     # children ---------------------------------------------------------------
 
@@ -619,7 +613,7 @@ class SizeDiscoveryNode:
         if obs is COLLISION or isinstance(obs, Stop):
             self._event("child_complete", self.phase, r)
             self._timer = None  # no next block
-            self._await("await_phase_end", self._validate_t_wave, self._got_t)
+            self._await("await_phase_end", self._validate_t_wave, self._got_t, mid_phase=True)
 
     # members ----------------------------------------------------------------
 
@@ -672,13 +666,13 @@ class SizeDiscoveryNode:
             self._start_wave(r + 1, r)
             self._finish_phase(r, r)
         else:
-            self._await("await_phase_end", self._validate_t_wave, self._got_t)
+            self._await("await_phase_end", self._validate_t_wave, self._got_t, mid_phase=True)
 
     # phase end ----------------------------------------------------------------
 
-    def _got_t(self, r: int, got: dict) -> None:
-        self._event("wave", "T", r, got["value"], got["distance"])
-        self._finish_phase(r, got["value"])
+    def _got_t(self, r: int, value: int, hop: int) -> None:
+        self._event("wave", "T", r, value, hop)
+        self._finish_phase(r, value)
 
     def _finish_phase(self, r: int, big_t: int) -> None:
         self.t2 = big_t + 2 * self.h * wave_span(big_t)
@@ -701,10 +695,10 @@ class SizeDiscoveryNode:
         else:
             self._await("wave_n", self._validate_n_wave, self._got_n)
 
-    def _got_n(self, r: int, got: dict) -> None:
-        self.output = got["value"]
-        self._event("output", r, self.output)
-        self._event("wave", "n", r, got["value"], self.level)
+    def _got_n(self, r: int, value: int, hop: int) -> None:
+        self.output = value
+        self._event("output", r, value)
+        self._event("wave", "n", r, value, hop)
         self._enter("draining")
 
 

@@ -449,6 +449,49 @@ def test_an_output_that_cannot_be_opened_leaves_every_output_as_it_was(
         assert not good.exists()
 
 
+@pytest.mark.parametrize(
+    "spelling, exists",
+    [(spelling, exists) for spelling in ("same", "dotted", "symlink") for exists in (True, False)]
+    + [("hardlink", True)],
+)
+def test_two_outputs_on_one_file_are_refused_before_the_run(tmp_path, monkeypatch, capsys, spelling, exists):
+    # the trace and the report would overwrite each other: exit 2, no
+    # simulation, and the file is neither changed nor created
+    calls = []
+    monkeypatch.setattr(cli, "run_protocol", lambda *a, **k: calls.append(a) or run_protocol(*a, **k))
+    g, out = tmp_path / "k2.g", tmp_path / "out.txt"
+    g.write_text("2 1\n0 1\n")
+    if exists:
+        out.write_bytes(b"kept")
+    other = {
+        "same": out,
+        "dotted": tmp_path / "." / "out.txt",
+        "symlink": tmp_path / "link.txt",
+        "hardlink": tmp_path / "hard.txt",
+    }[spelling]
+    if spelling == "symlink":
+        other.symlink_to(out)
+    elif spelling == "hardlink":
+        other.hardlink_to(out)
+    assert run_cli("run", str(g), "--trace", str(out), "--report", str(other)) == 2
+    assert calls == []
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err == f"error: two outputs name the same file: {out} and {other}\n"
+    if exists:
+        assert out.read_bytes() == b"kept"
+    else:
+        assert not out.exists()
+
+
+def test_a_report_to_stdout_is_printed_once(tmp_path, capsys):
+    g = tmp_path / "k2.g"
+    g.write_text("2 1\n0 1\n")
+    assert run_cli("run", str(g), "--report", "-") == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and json.loads(out)["outputs_ok"] is True
+
+
 def test_a_run_replaces_the_outputs_that_exist(tmp_path):
     g, trace, report = tmp_path / "k2.g", tmp_path / "trace.txt", tmp_path / "report.json"
     g.write_text("2 1\n0 1\n")

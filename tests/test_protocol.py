@@ -22,6 +22,7 @@ from rsd.protocol import (
     run_protocol,
     t1_formula,
     tau_formula,
+    wave_hop,
     wave_pulses,
     wave_span,
 )
@@ -618,7 +619,7 @@ def _drive_listener(listener, schedule, start, end):
         kind = schedule.get(r)
         if kind == "pulse":
             got = listener.pulse(r)
-            if got:
+            if got is not None:
                 hits[r] = got
         elif kind == "typed":
             listener.typed_message(r)
@@ -646,9 +647,20 @@ def test_depth_report_relayed_once_per_hop(g):
 
 # --- wave validator guards ---------------------------------------------------
 #
-# Each validator is called on a node whose state is set by hand and whose
-# listener has heard nothing unless a test says so, so only the round
-# arithmetic and the validator's own guards decide.
+# Each validator is called on a node whose state is set by hand, with the
+# pulse heard before the wave's start given as `prev` (0: none), so only the
+# round arithmetic and the validator's own guards decide.
+
+
+@given(st.integers(0, 10**6), st.integers(1, 2**64 - 1), st.integers(1, 50))
+def test_wave_hop_names_the_one_hop_that_ends_in_round_r(origin, value, d):
+    # hop d ends at origin + d * span; no other round up to three spans after
+    # the origin ends a hop
+    span = wave_span(value)
+    assert wave_hop(origin, value, origin + d * span) == d
+    ends = {origin + k * span: k for k in (1, 2, 3)}
+    for r in range(origin - span, origin + 3 * span + 1):
+        assert wave_hop(origin, value, r) == ends.get(r), r
 
 
 def _hand_set_node(**state):
@@ -663,52 +675,61 @@ def test_mid_phase_wave_travels_at_most_twice_the_depth():
     # x sent from t2 ends its d-th hop at t2 + d * wave_span(x), for d <= 2h
     node = _hand_set_node(h=3, t2=100)
     span = wave_span(5)
-    assert node._validate_x_wave(5, 100 + 6 * span) == {"distance": 6}
-    assert node._validate_x_wave(5, 100 + 7 * span) is None
+    assert node._validate_x_wave(5, 100 + 6 * span, 0) == 6
+    assert node._validate_x_wave(5, 100 + 7 * span, 0) is None
 
 
 def test_wave_is_dated_from_its_first_hop():
     # a wave's sender hears nothing of it: the first listener is one hop away
     node = _hand_set_node(h=3, t2=100)
-    assert node._validate_x_wave(5, 100 + wave_span(5)) == {"distance": 1}
-    assert node._validate_x_wave(5, 100) is None
+    assert node._validate_x_wave(5, 100 + wave_span(5), 0) == 1
+    assert node._validate_x_wave(5, 100, 0) is None
     # the degree wave leaves after the bitlen(delta) tag rounds
-    assert node._validate_delta_wave(6, 3 + wave_span(6)) == {"level": 1}
-    assert node._validate_delta_wave(6, 3) is None
+    assert node._validate_delta_wave(6, 3 + wave_span(6), 0) == 1
+    assert node._validate_delta_wave(6, 3, 0) is None
 
 
 def test_h_wave_never_names_a_depth_below_the_level():
     node = _hand_set_node(delta=6, m=3, level=3)
-    assert node._validate_h_wave(3, depth_report_round(6, 3) + 3 * wave_span(3)) == {}
+    assert node._validate_h_wave(3, depth_report_round(6, 3) + 3 * wave_span(3), 0) == 3
     # depth 2 dates this round as level 3's hop, yet no level 3 exists at depth 2
-    assert node._validate_h_wave(2, depth_report_round(6, 2) + 3 * wave_span(2)) is None
+    assert node._validate_h_wave(2, depth_report_round(6, 2) + 3 * wave_span(2), 0) is None
 
 
 def test_t_wave_value_is_a_block_end():
     # T is the round a member stopped in: t2' + j * tau for some j >= 1
     node = _hand_set_node(h=2, t2p=200, tau=7)
     t = 200 + 3 * 7
-    assert node._validate_t_wave(t, t + wave_span(t)) == {"distance": 1}
-    assert node._validate_t_wave(t + 1, t + 1 + wave_span(t + 1)) is None
-    assert node._validate_t_wave(200, 200 + wave_span(200)) is None
+    assert node._validate_t_wave(t, t + wave_span(t), 0) == 1
+    assert node._validate_t_wave(t + 1, t + 1 + wave_span(t + 1), 0) is None
+    assert node._validate_t_wave(200, 200 + wave_span(200), 0) is None
 
 
 def test_n_wave_value_is_at_least_two():
     node = _hand_set_node(t2=500, level=2)
-    assert node._validate_n_wave(2, 500 + 2 * wave_span(2)) == {}
-    assert node._validate_n_wave(1, 500 + 2 * wave_span(1)) is None
+    assert node._validate_n_wave(2, 500 + 2 * wave_span(2), 0) == 2
+    assert node._validate_n_wave(1, 500 + 2 * wave_span(1), 0) is None
 
 
 def test_wave_needs_a_quiet_window_before_its_front():
     # untyped noise after the sending round and up to the front (the round
-    # before the last hop began) exposes a forged alignment
+    # before the last hop began) exposes a forged alignment; `prev`, the pulse
+    # heard just before the start, is the last round the node heard there
     t2, span = 100, wave_span(5)
     r = t2 + 2 * span
-    for heard, accepted in (([t2], True), ([t2 + 1], False), ([r - span], False),
-                            ([r - span + 1], True)):
-        node = _hand_set_node(h=3, t2=t2)
-        node._listener.cands.extend(heard)
-        assert (node._validate_x_wave(5, r) is not None) == accepted, heard
+    node = _hand_set_node(h=3, t2=t2)
+    for prev, accepted in ((0, True), (t2, True), (t2 + 1, False), (r - span, False)):
+        assert (node._validate_x_wave(5, r, prev) is not None) == accepted, prev
+
+
+def test_h_wave_quiet_window_ends_two_levels_of_degree_echo_below():
+    # the degree wave's echoes audible at level 1 end by m + 3 * wave_span(delta)
+    # when the depth is 4: a pulse then is still echo, a pulse after is not
+    node = _hand_set_node(delta=6, m=3, level=1)
+    r = depth_report_round(6, 4) + wave_span(4)
+    echo_end = 3 + 3 * wave_span(6)
+    assert node._validate_h_wave(4, r, echo_end) == 1
+    assert node._validate_h_wave(4, r, echo_end + 1) is None
 
 
 # --- the timer ------------------------------------------------------------------
@@ -770,10 +791,10 @@ def test_listener_accepts_clean_wave():
     pattern = wave_encode(value)
     finish = start + len(pattern) - 1
 
-    listener = WaveListener(lambda v, r: {"ok": True} if (v, r) == (value, finish) else None)
+    listener = WaveListener(lambda v, r, prev: 1 if (v, r) == (value, finish) else None)
     schedule = {start + i: "pulse" for i, c in enumerate(pattern) if c == "1"}
     hits = _drive_listener(listener, schedule, 90, finish)
-    assert list(hits) == [finish] and hits[finish]["value"] == value
+    assert list(hits) == [finish] and hits[finish][0] == value
 
 
 def test_listener_survives_collision_immediately_before_wave():
@@ -784,18 +805,18 @@ def test_listener_survives_collision_immediately_before_wave():
     value, start = 49, 200
     pattern = wave_encode(value)
     finish = start + len(pattern) - 1
-    listener = WaveListener(lambda v, r: {"ok": True} if (v, r) == (value, finish) else None)
+    listener = WaveListener(lambda v, r, prev: 1 if (v, r) == (value, finish) else None)
     schedule = {start - 1: "pulse"}
     schedule.update({start + i: "pulse" for i, c in enumerate(pattern) if c == "1"})
     hits = _drive_listener(listener, schedule, 190, finish)
-    assert [got["value"] for got in hits.values()] == [value]
+    assert [got[0] for got in hits.values()] == [value]
 
 
 def test_listener_rejects_forged_alignment_via_validator():
     from rsd.protocol import WaveListener
 
     # a junk pattern that never satisfies the validator is simply ignored
-    listener = WaveListener(lambda v, r: None)
+    listener = WaveListener(lambda v, r, prev: None)
     pattern = wave_encode(6)
     schedule = {50 + i: "pulse" for i, c in enumerate(pattern) if c == "1"}
     hits = _drive_listener(listener, schedule, 45, 70)
@@ -808,11 +829,11 @@ def test_listener_typed_message_clears_then_recovers():
     value, start = 5, 30
     pattern = wave_encode(value)
     finish = start + len(pattern) - 1
-    listener = WaveListener(lambda v, r: {"ok": True} if (v, r) == (value, finish) else None)
+    listener = WaveListener(lambda v, r, prev: 1 if (v, r) == (value, finish) else None)
     schedule = {20: "pulse", 22: "pulse", 25: "typed"}
     schedule.update({start + i: "pulse" for i, c in enumerate(pattern) if c == "1"})
     hits = _drive_listener(listener, schedule, 18, finish)
-    assert [got["value"] for got in hits.values()] == [value]
+    assert [got[0] for got in hits.values()] == [value]
 
 
 def test_listener_long_silence_drops_stale_candidates():
@@ -821,11 +842,11 @@ def test_listener_long_silence_drops_stale_candidates():
     from rsd.protocol import WaveListener
 
     for length, expected in ((MAX_WAVE_BITS, [2**63]), (MAX_WAVE_BITS + 2, [])):
-        listener = WaveListener(lambda v, r: {})
+        listener = WaveListener(lambda v, r, prev: 1)
         finish = 10 + length - 1
         schedule = {10: "pulse", finish - 1: "pulse", finish: "pulse"}
         hits = _drive_listener(listener, schedule, 10, finish)
-        assert [got["value"] for got in hits.values()] == expected
+        assert [got[0] for got in hits.values()] == expected
 
 
 def test_listener_decodes_largest_wave_value():
@@ -835,11 +856,11 @@ def test_listener_decodes_largest_wave_value():
     value, start = 2**64 - 1, 40
     pattern = wave_encode(value)
     finish = start + len(pattern) - 1
-    listener = WaveListener(lambda v, r: {"ok": True} if (v, r) == (value, finish) else None)
+    listener = WaveListener(lambda v, r, prev: 1 if (v, r) == (value, finish) else None)
     schedule = {start + i: "pulse" for i, c in enumerate(pattern) if c == "1"}
     hits = _drive_listener(listener, schedule, start, finish)
     assert len(pattern) == MAX_WAVE_BITS
-    assert [got["value"] for got in hits.values()] == [value]
+    assert [got[0] for got in hits.values()] == [value]
 
 
 class StringWindowListener(WaveListener):
@@ -865,10 +886,10 @@ class StringWindowListener(WaveListener):
                 value = wave_decode(window[s - lo :])
             except MalformedWaveError:
                 continue
-            got = self.validator(value, r)
-            if got is not None:
-                got["value"] = value
-                return got
+            i = bisect_left(cands, s)
+            hop = self.validator(value, r, cands[i - 1] if i else 0)
+            if hop is not None:
+                return value, hop, cands[i:]
         return None
 
 
@@ -896,12 +917,13 @@ def listener_schedules(draw):
 
 
 def _offers(listener_cls, schedule, accept):
-    """Every (value, round) offered to the validator, and the first acceptance."""
+    """Every (value, round, prev) offered to the validator, and the first
+    acceptance with the pulses it hands on."""
     offered = []
 
-    def validator(value, r):
-        offered.append((value, r))
-        return {} if accept(value, r) else None
+    def validator(value, r, prev):
+        offered.append((value, r, prev))
+        return 1 if accept(value, r) else None
 
     listener = listener_cls(validator)
     first = None
@@ -911,7 +933,7 @@ def _offers(listener_cls, schedule, accept):
         elif first is None:
             got = listener.pulse(r)
             if got is not None:
-                first = (got["value"], r)
+                first = (got[0], r, got[2])
     return offered, first
 
 
@@ -922,8 +944,8 @@ _LONGEST = {1: "pulse", **{400 + i: "pulse" for i, c in enumerate(wave_encode(2*
 @given(listener_schedules(), st.integers(2, 7))
 @example(_LONGEST, 2)
 def test_arithmetic_listener_offers_what_the_string_decoder_offers(schedule, modulus):
-    # the same (value, round) sequence reaches the validator, and the same
-    # wave is accepted first, as with the string window and wave_decode
+    # the same (value, round, prev) sequence reaches the validator, and the
+    # same wave is accepted first, as with the string window and wave_decode
     never = lambda value, r: False  # noqa: E731
     assert _offers(WaveListener, schedule, never) == _offers(StringWindowListener, schedule, never)
     picky = lambda value, r: (value + r) % modulus == 0  # noqa: E731
@@ -1052,7 +1074,7 @@ def test_a_typed_message_heard_inside_a_wave_refuses_it():
     t2, pulses = 100, _pulse_rounds(101, 13)
     for typed, accepted in ((None, 13), (105, None)):
         node = _hand_set_node(h=3, t2=t2, delta=4, m=3, phase=1)
-        node._await("wave_x", node._validate_x_wave, node._got_x)
+        node._await("wave_x", node._validate_x_wave, node._got_x, mid_phase=True)
         for q in sorted(pulses + [typed] * (typed is not None)):
             node.observe(q, radio.Stop() if q == typed else radio.WavePulse())
         assert node.x_i == accepted
@@ -1065,7 +1087,7 @@ def test_relay_repeats_the_heard_pulses_one_hop_later(value):
     # first hop at r = t2 + span; a noise pulse before it is no part of the relay
     t2, span = 100, wave_span(value)
     node = _hand_set_node(h=3, t2=t2, delta=4, m=3, phase=1)
-    node._await("wave_x", node._validate_x_wave, node._got_x)
+    node._await("wave_x", node._validate_x_wave, node._got_x, mid_phase=True)
     node.observe(t2 - 1, radio.COLLISION)
     for q in _pulse_rounds(t2 + 1, value):
         node.observe(q, radio.WavePulse())
