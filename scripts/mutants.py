@@ -45,6 +45,34 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    # a node's clock: only next_transmit_round runs a due timer, and both
+    # engines ask it before a node decides
+    Mutant(
+        "due_timer_not_run_by_the_clock",
+        "protocol.py",
+        "        if timer is not None and timer[0] <= r:\n",
+        "        if False:\n",
+        [PROTOCOL_TESTS + "test_a_due_timer_runs_only_when_the_node_is_asked_its_next_round"],
+    ),
+    Mutant(
+        "reference_decides_unasked",
+        "radio.py",
+        "            _next(automata, v, r)  # the node's clock: its steps due by r run\n",
+        "            pass\n",
+        [
+            RADIO_TESTS + "test_both_engines_ask_a_node_its_next_round_before_it_decides",
+            PROTOCOL_TESTS + "test_engines_agree",
+        ],
+    ),
+    Mutant(
+        "done_node_stays_done",
+        "radio.py",
+        "            else:  # a done node that heard something may have more to do\n"
+        "                not_done.add(v)\n",
+        "            else:  # a done node that heard something may have more to do\n"
+        "                pass\n",
+        [RADIO_TESTS + "test_a_done_node_that_hears_a_message_is_not_done_again"],
+    ),
     # one ascending send list: nothing behind a wave in flight, nothing at or
     # before the last queued round
     Mutant(
@@ -234,6 +262,16 @@ MUTANTS = [
         "            heard.pop(v, None)  # a transmitter hears nothing\n",
         "            pass\n",
         [HISTORY_TESTS + "test_histories_match_the_reference_loop"],
+    ),
+    Mutant(
+        "center_record_for_every_t",
+        "history_lab.py",
+        '                        {"lemma": "pattern-determines-center", "trial": trial, "t": t}\n'
+        "                    )\n"
+        "                    break\n",
+        '                        {"lemma": "pattern-determines-center", "trial": trial, "t": t}\n'
+        "                    )\n",
+        [HISTORY_TESTS + "test_lemma_2_records_name_each_members_first_diverging_t"],
     ),
     Mutant(
         "column_check_skips_different_labels",

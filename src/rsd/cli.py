@@ -164,7 +164,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    if args.beta is not None and args.beta > MAX_BETA:
+    if args.beta > MAX_BETA:  # every mode has --beta
         print(f"beta {args.beta} exceeds the configured maximum {MAX_BETA}", file=sys.stderr)
         return 2
     if args.mode == "patterns":

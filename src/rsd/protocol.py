@@ -42,9 +42,10 @@ and decoder.
 
 The procedures are sequential, so a node waits for one timed step at a time
 (a phase, block or final start, or a member's block-final stop decision) in
-one timer slot, a (round, step) pair; it fires before the node decides its
-round, once everything heard in earlier rounds has been delivered, and the
-step runs with the round it was armed for.
+one timer slot, a (round, step) pair.  Only `next_transmit_round(r)` runs a
+step due by r, with the round it was armed for; the engines ask it once
+everything heard in earlier rounds has been delivered, before the node
+decides or observes round r.
 """
 from __future__ import annotations
 
@@ -230,7 +231,8 @@ class SizeDiscoveryNode:
     until it knows the degree, and a member's block account from
     `member_blocks` until its stop; otherwise each is None, as is the send
     list once it drains.  A finished node thus holds what it learned, and
-    nodes booted from equal labels share one `Label`.
+    nodes booted from equal labels share one `Label`.  Its timer runs only
+    in `next_transmit_round`, which reports the timer's round as a send's.
     """
 
     __slots__ = (
@@ -290,7 +292,6 @@ class SizeDiscoveryNode:
         return self.output is not None and self._sends is None
 
     def decide(self, r: int) -> Optional[Message]:
-        self._fire(r)
         sends = self._sends
         if sends is None:
             return None
@@ -303,7 +304,6 @@ class SizeDiscoveryNode:
         return msg
 
     def observe(self, r: int, obs: Observation) -> None:
-        self._fire(r)
         if obs is NOT_LISTENING:
             return
         listener = self._listener
@@ -322,20 +322,23 @@ class SizeDiscoveryNode:
             listener.typed_message(r)
 
     def next_transmit_round(self, r: int) -> Optional[int]:
-        self._fire(r)
-        nxt = None if self._sends is None else self._sends[self._head][0]
+        """The node's clock: run the step due by r, then name the next send or step."""
         timer = self._timer
+        if timer is not None and timer[0] <= r:
+            self._timer = None  # cleared first: steps re-arm
+            timer[1](timer[0])
+            timer = self._timer
+        nxt = None if self._sends is None else self._sends[self._head][0]
         if timer is not None and (nxt is None or timer[0] < nxt):
             return timer[0]
         return nxt
 
     def train(self, r: int) -> List[int]:
-        """The pending send rounds from r on, when r is the first of them:
-        a typed message is a train of one round; a pulse is followed only
-        by the rest of its wave, cut before the timer."""
+        """The pending send rounds from r on, asked only of a node that
+        sends in round r (r is the first of them): a typed message is a
+        train of one round; a pulse is followed only by the rest of its
+        wave, cut before the timer."""
         sends, head = self._sends, self._head
-        if sends is None or sends[head][0] != r:
-            return []
         if sends[head][1] is not _PULSE:
             return [r]
         timer = self._timer
@@ -395,12 +398,6 @@ class SizeDiscoveryNode:
     def _arm(self, r: int, step: Callable[[int], None]) -> None:
         assert self._timer is None, "a node waits for one timed step at a time"
         self._timer = (r, step)
-
-    def _fire(self, r: int) -> None:
-        timer = self._timer
-        if timer is not None and timer[0] <= r:
-            self._timer = None  # cleared first: steps re-arm
-            timer[1](timer[0])
 
     def _enter(self, stage: str, on_obs: Optional[_Handler] = None) -> None:
         """The one writer of `stage`; `on_obs` is None while idle or awaiting a wave."""

@@ -143,13 +143,16 @@ class Automaton(Protocol):
     a mark, or the message heard.  Rounds not delivered via observe were
     silent (or the node transmitted, which it knows).  done is terminal.
     next_transmit_round(r) names the earliest round >= r in which the node
-    may transmit, or None; it may run the automaton's timers due by round r.
+    may transmit, or None.  It is the node's clock, the one method that runs
+    timers due by round r: both engines ask it at each round the node
+    declared (the reference at every round) before the node decides or
+    observes that round.  decide, observe and the methods below run none.
 
     Three optional methods let `run_scheduled` resolve pulse windows; an
     automaton without them always goes round by round.  train(r), asked
-    before decide(r), lists the rounds from r on in which the node sends
-    round r's message if nothing it hears changes its schedule; it runs no
-    timer, and ends before the first one and at the first other message.
+    only of a sender of round r, before decide(r), lists the rounds from r
+    on in which it sends round r's message if nothing it hears changes its
+    schedule; it ends before its next timer and at the first other message.
     reacts_at(rounds, obs) names the first of `rounds` in which observing
     obs could change when or what the node transmits, or could raise, or
     None.  absorb(rounds, obs) delivers obs for each of `rounds`, all before
@@ -290,6 +293,8 @@ def run(
     for r in range(1, max_rounds + 1):
         if all(a.done for a in automata.values()):
             break
+        for v in range(g.n):
+            _next(automata, v, r)  # the node's clock: its steps due by r run
         actions = _decide(automata, range(g.n), r)
         obs = resolve_round(g, actions)
         _observe(automata, range(g.n), r, obs)
@@ -323,17 +328,15 @@ def _shared_train(
 def _window(
     automata: Dict[int, Automaton],
     heap: List[Tuple[int, int]],
-    live: List[Optional[int]],
     train: List[int],
     actions: Dict[int, Optional[Message]],
     obs: Dict[int, Observation],
     max_rounds: int,
 ) -> List[int]:
     """The rounds of the senders' `train` that one observation per node can
-    resolve: those within the cap and before the first live heap entry,
-    up to the first round at which a listener could react."""
-    while heap and live[heap[0][1]] != heap[0][0]:
-        heapq.heappop(heap)  # stale: so is every entry of a sender, queried afresh after the window
+    resolve: those within the cap and before the first heap entry, up to
+    the first round at which a listener could react.  A stale first entry
+    only ends the window early: the senders' next query resumes the train."""
     end = min(heap[0][0] - 1, max_rounds) if heap else max_rounds
     rounds = train[: bisect_right(train, end)]
     for v, o in obs.items():
@@ -362,16 +365,17 @@ def run_scheduled(
     Sound because automata ignore silence: the next pending transmission of
     an automaton that no round touches never moves earlier, so a lazy heap
     of declared rounds always knows the next globally non-silent round.
-    Every live heap entry of that round is checked, so only nodes that
-    transmit in it decide it.  A node holds one live entry, `live[v]`, the
-    round it last declared: it is pushed only when that round changes, and
-    an entry that is no longer live is dropped without asking the node.  So
-    the queries grow with the rounds resolved, even in a run that stalls.
+    Every live heap entry of that round is checked by a query, which runs
+    the node's timers due then, so only nodes that transmit in it decide
+    it.  A node holds one live entry, `live[v]`, the round it last declared:
+    it is pushed only when that round changes, and an entry that is no
+    longer live is dropped without asking the node.  So the queries grow
+    with the rounds resolved, even in a run that stalls.
 
     When those senders share one pulse train (see `Automaton`), the engine
     resolves the train's rounds as one pulse window: `resolve_round` once,
     its observations reused for every round of the window.  The window ends
-    before the first heap entry of any other node, within the cap, and at
+    before the first heap entry left (see `_window`), within the cap, and at
     the first round at which a listener could react.  Senders decide every
     round of it; each listener absorbs all but the last round in one call,
     and the last round is observed as any other, so reactions, relays and
@@ -439,7 +443,7 @@ def run_scheduled(
         train = _shared_train(automata, senders, r)
         actions = _decide(automata, senders, r)
         obs = resolve_round(g, actions)
-        rounds = [r] if train is None else _window(automata, heap, live, train, actions, obs, max_rounds)
+        rounds = [r] if train is None else _window(automata, heap, train, actions, obs, max_rounds)
         for q in rounds[1:]:
             if trace is not None:
                 trace.record(r, actions, obs)
@@ -459,7 +463,7 @@ def run_scheduled(
         for v in obs:
             if automata[v].done:
                 not_done.discard(v)
-            elif v not in not_done:
+            else:  # a done node that heard something may have more to do
                 not_done.add(v)
             declare(v, _next(automata, v, r + 1))
         if any(msg is not None for msg in actions.values()):

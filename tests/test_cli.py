@@ -196,6 +196,9 @@ def test_lowerbound_patterns(capsys):
 
 def test_lowerbound_patterns_beta_guard(capsys):
     assert run_cli("lowerbound", "patterns", "--beta", "65") == 2
+    capsys.readouterr()
+    assert run_cli("lowerbound", "patterns", "--beta", "-1") == 2
+    assert capsys.readouterr().err == "error: beta must be >= 0\n"
 
 
 def test_lowerbound_beta_cap_is_the_printable_limit(capsys):

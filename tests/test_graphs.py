@@ -94,6 +94,27 @@ def test_edge_errors_read_the_same_from_a_file_and_an_edge_list(edges, message):
     assert str(err.value) == f"line {bad}: {message}{first}" and err.value.line == bad
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1 2\n", "line 1: expected two fields, got 3"),
+        ("2 1\n0 x\n", "line 2: non-integer field in ['0', 'x']"),
+        ("# no header\n\n", "missing 'n m' header line"),
+        ("0 0\n", "line 1: node count must be >= 1, got 0"),
+    ],
+    ids=["fields", "non-integer", "no-header", "no-nodes"],
+)
+def test_parse_refuses_malformed_lines_and_headers(text, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+def test_an_edge_list_of_no_nodes_is_refused():
+    with pytest.raises(GraphFormatError, match="^node count must be >= 1, got 0$"):
+        Graph.from_edges(0, [])
+
+
 def test_parse_edge_count_mismatch():
     with pytest.raises(GraphFormatError):
         parse_graph("3 2\n0 1\n")
@@ -175,6 +196,20 @@ def test_tree_generator_refuses_a_cap_no_tree_fits():
     for n, cap in ((2, 0), (2, -1), (3, 1), (40, 1)):
         with pytest.raises(ValueError, match="cannot host a tree"):
             random_tree(n, cap, 0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: star(0), "a star needs delta >= 1"),
+        (lambda: path(1), "a path needs n >= 2"),
+        (lambda: random_tree(1, 4, 0), "random trees need n >= 2"),
+    ],
+    ids=["star", "path", "random-tree"],
+)
+def test_generators_refuse_a_size_with_no_graph(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_graph_generator_respects_cap():

@@ -122,6 +122,8 @@ def test_label_universe():
     assert label_universe(0) == ("",)
     assert label_universe(1) == ("", "0", "1")
     assert len(label_universe(3)) == 2**4 - 1
+    with pytest.raises(ValueError, match="^beta must be >= 0$"):
+        label_universe(-1)
 
 
 def test_pattern_saturation():
@@ -159,6 +161,8 @@ def test_matched_labelings_share_pattern():
 def test_pattern_bound_values():
     assert pattern_bound(0) == 324
     assert pattern_bound(1) == 104976
+    with pytest.raises(ValueError, match="^beta must be >= 0$"):
+        pattern_bound(-1)
 
 
 def test_pattern_bound_second_path_agrees():
@@ -416,3 +420,32 @@ def test_violation_records_name_each_pairs_first_diverging_t(monkeypatch):
         assert dict(record, lemma="leaf-indistinguishability") in leaf
     assert len(forged) == 2 * trials * len(build_family(delta))
     assert [v for v in report["violations"] if v not in leaf] == []
+
+
+def test_lemma_2_records_name_each_members_first_diverging_t(monkeypatch):
+    # forged center histories: in trial 0 the second matched member's splits
+    # from the first member's at t = 0 and the fourth's at t = 7; in trial 1
+    # the sixth's at the last t.  Each is one record, and nothing else is
+    delta, trials, rounds = 12, 2, 20
+    family = build_family(delta)
+    matched = sum(t.i >= 2 for t in family)
+    forged = {(0, 1): 0, (0, 3): 7, (1, 5): rounds}
+    real = history_lab.compute_histories
+    calls = []
+
+    def forge(tree, labeling, automaton, rounds, table=None):
+        hist = real(tree, labeling, automaton, rounds, table)
+        trial, step = divmod(len(calls), len(family) + matched)
+        calls.append(tree)
+        member = step - len(family)  # negative in a lemma-1 run
+        for t in range(forged.get((trial, member), rounds + 1), rounds + 1):
+            hist[t][tree.r] = -1 - t  # no real handle
+        return hist
+
+    monkeypatch.setattr(history_lab, "compute_histories", forge)
+    report = check_lemmas(delta, trials=trials, rounds=rounds, seed=5)
+    assert len(calls) == trials * (len(family) + matched) and matched == len(family)
+    assert report["violations"] == [
+        {"lemma": "pattern-determines-center", "trial": trial, "t": t}
+        for (trial, _member), t in sorted(forged.items())
+    ]

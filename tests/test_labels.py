@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from rsd import labels
 from rsd.generators import random_connected_graph, random_tree, star
-from rsd.graphs import decompose
+from rsd.graphs import Graph, decompose
 from rsd.labels import (
     Label,
     LabelFormatError,
@@ -124,6 +124,14 @@ def test_length_bound_on_stars():
     for delta in (2, 4, 16, 256):
         d, scheme = scheme_for(star(delta))
         assert scheme.max_bits() <= length_bound(delta)
+
+
+def test_labeling_refuses_a_graph_of_one_node():
+    # a single node has no level below the root: the refusal comes before
+    # the plan and weights, which such a graph does not have, are read
+    g = Graph.from_edges(1, [])
+    with pytest.raises(ValueError, match="labeling requires a graph with at least two nodes"):
+        assign_labels(g, decompose(g), None, {})
 
 
 def test_k2_max_bits():

@@ -745,6 +745,24 @@ def _blocks_node(label, level):
     return node
 
 
+def test_a_due_timer_runs_only_when_the_node_is_asked_its_next_round():
+    # decide, observe and the window methods leave the clock alone: the step
+    # due at 104 runs at the first next_transmit_round query, and only once
+    node = _hand_set_node()
+    node._schedule(104, radio.Stop())
+    fired = []
+    node._arm(104, fired.append)
+    assert node.train(104) == [104] and node.decide(104) == radio.Stop()
+    node.observe(104, radio.NOT_LISTENING)
+    node.reacts_at([105, 106], radio.COLLISION)
+    node.absorb([105], radio.COLLISION)
+    node.observe(106, radio.COLLISION)
+    node.observe(107, radio.Stop())
+    assert fired == [] and node._timer is not None
+    assert node.next_transmit_round(104) is None and fired == [104]
+    assert node.next_transmit_round(108) is None and fired == [104]
+
+
 def test_completed_child_leaves_no_timer_armed():
     tag = Tag(2, 1)
     node = _blocks_node(Label(make_markers(), l2=tag), level=2)
@@ -767,6 +785,7 @@ def test_member_without_an_account_retries_one_block_later():
     child = Tag(1, 1)
     node.observe(214, radio.CollisionTagMsg(child))
     node.observe(213 + report_slot(3, 1, 1), radio.WeightReport(child, 1))
+    assert node.next_transmit_round(226) == 226  # the block-final step runs here, not in decide
     assert node.decide(226) == radio.Stop() and node.weight == 2
 
 
@@ -780,6 +799,7 @@ def test_a_members_block_account_lives_from_its_blocks_to_its_stop():
     member.observe(201, radio.CollisionTagMsg(child_tag))
     member.observe(200 + report_slot(3, 1, 1), radio.WeightReport(child_tag, 1))
     assert member._tags_heard == {1: 1} and member._reports_heard == {1: {1: 1}}
+    assert member.next_transmit_round(213) == 213
     assert member.decide(213) == radio.Stop() and member.weight == 2
     assert member._tags_heard is member._reports_heard is member._window_clean is None
 

@@ -84,6 +84,9 @@ def test_zero_round_run():
     trace, last = run(g, autos, 0)
     assert trace.rounds == {} and trace.last == 0 and last == 0
     assert autos[0].seen == []
+    for engine in (run, run_scheduled):
+        with pytest.raises(ValueError, match="^max_rounds must be >= 0$"):
+            engine(g, autos, -1)
 
 
 def test_always_listen_sees_silence():
@@ -483,3 +486,63 @@ def test_a_fault_in_a_window_names_its_method_round_and_node(method, node):
     assert (err.value.round_no, err.value.node) == (2, node)
     assert str(err.value) == f"round 2, node {node}: automaton failed in {method}: injected fault"
     assert isinstance(err.value.__cause__, RuntimeError)
+
+
+class Echo(Dummy):
+    """Dummy that is done until it hears a ping, then echoes it in the next
+    round: a done node that hears something can have more to do."""
+
+    def observe(self, r, obs):
+        super().observe(r, obs)
+        if obs == Opaque("ping"):
+            self.schedule[r + 1] = Opaque("echo")
+
+
+def test_a_done_node_that_hears_a_message_is_not_done_again(monkeypatch):
+    # nodes 1 and 2 start done; node 1 hears node 0's ping in round 3, so
+    # the run goes on to its echo in round 4
+    g = path(3)
+
+    def build():
+        return {0: Dummy(_pulses(3, msg="ping")), 1: Echo(), 2: Echo()}
+
+    assert _engines_agree(g, build, 10, monkeypatch) == (2, 2)
+    autos = build()
+    assert run_scheduled(g, autos, 10) == 4
+    assert _heard(autos[2].seen) == [(4, Opaque("echo"))]
+
+
+class Clocked(Dummy):
+    """Dummy whose one send is armed by a timer: the timer runs only when the
+    node is asked its next round, as a protocol node's steps do, and queues
+    a message for the round it was armed for."""
+
+    def __init__(self, alarm):
+        super().__init__()
+        self.alarm = alarm
+
+    @property
+    def done(self):
+        return self.alarm is None and not self.schedule
+
+    def next_transmit_round(self, r):
+        if self.alarm is not None and self.alarm <= r:
+            self.schedule[self.alarm] = Opaque(f"alarm {self.alarm}")
+            self.alarm = None
+        nxt = super().next_transmit_round(r)
+        return self.alarm if nxt is None else nxt
+
+
+def test_both_engines_ask_a_node_its_next_round_before_it_decides(monkeypatch):
+    # a timer is due at the round it sends in, so a node decided unasked
+    # would never send
+    g = star(2)
+
+    def build():
+        return {0: Dummy(), 1: Clocked(3), 2: Clocked(5)}
+
+    assert _engines_agree(g, build, 10, monkeypatch) == (2, 2)
+    autos = build()
+    _trace, last = run(g, autos, 10)
+    assert last == 5
+    assert _heard(autos[0].seen) == [(3, Opaque("alarm 3")), (5, Opaque("alarm 5"))]
