@@ -31,6 +31,7 @@ PROTOCOL_TESTS = "tests/test_protocol.py::"
 RADIO_TESTS = "tests/test_radio.py::"
 UPPER_SETS_TESTS = "tests/test_upper_sets.py::"
 LABELS_TESTS = "tests/test_labels.py::"
+GRAPHS_TESTS = "tests/test_graphs.py::"
 HISTORY_TESTS = "tests/test_history_lab.py::"
 CLI_TESTS = "tests/test_cli.py::"
 TIMEOUT_S = 120  # per mutant; the listed tests take a few seconds on the unmutated source
@@ -441,9 +442,25 @@ MUTANTS = [
     Mutant(
         "every_label_encoded",
         "labels.py",
-        "        labels[v], encoded[v] = shared[lbl]\n",
-        "        labels[v], encoded[v] = lbl, encode_label(lbl)\n",
+        "        labels[v], encoded[v] = shared[key]\n",
+        "        labels[v], encoded[v] = shared.pop(key)\n",
         [LABELS_TESTS + "test_each_distinct_label_is_built_and_encoded_once"],
+    ),
+    Mutant(
+        "label_key_drops_l3",
+        "labels.py",
+        "        key = (mask[v], l1.get(v, NO_TAG), l2.get(v, NO_TAG), l3.get(v, NO_TAG))\n",
+        "        key = (mask[v], l1.get(v, NO_TAG), l2.get(v, NO_TAG))\n",
+        [LABELS_TESTS + "test_every_node_carries_its_own_tags"],
+    ),
+    # the iFUB fringe scan skips only nodes whose bound cannot raise lb
+    Mutant(
+        "diameter_prunes_past_lb",
+        "graphs.py",
+        "                if ub[z] <= lb:",
+        "                if ub[z] <= lb + 1:",
+        [GRAPHS_TESTS + "test_diameter_of_every_connected_graph_up_to_five_nodes",
+         GRAPHS_TESTS + "test_diameter_equals_all_pairs_bfs"],
     ),
 ]
 

@@ -95,12 +95,10 @@ def cmd_gen(args) -> int:
         g = generators.random_tree(args.n, args.delta, args.seed)
     elif args.kind == "graph":
         g = generators.random_connected_graph(args.n, args.delta, args.seed, args.extra)
-    elif args.kind == "family":
+    else:  # "family", the last of the kinds argparse accepts
         if args.index is None:
             raise ValueError("--index is required for --kind family")
         g = generators.family_member(args.delta, args.index)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {args.kind}")
     _write(args.out, g.to_text())
     return 0
 

@@ -37,6 +37,7 @@ class Tag:
 
 
 ZERO_TAG = Tag(0, 0)
+NO_TAG = (NO_TAG_ID, 0)  # ZERO_TAG as an (id, bit) pair
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,48 +103,46 @@ def assign_labels(
     if d.h < 1:
         raise ValueError("labeling requires a graph with at least two nodes")
     m = bitlen(d.delta)
-    l3_map, blocks_per_level = finalize_weight_tags(g, d, plan, weights)
+    l3, blocks_per_level = finalize_weight_tags(g, d, plan, weights)
 
-    marker_sets: Dict[int, set] = {v: set() for v in range(g.n)}
-    marker_sets[d.root].add(0)
+    mask = [0] * g.n  # marker i of node v is bit i of mask[v]
+    mask[d.root] |= 1 << 0
     deep_node = min(d.levels[d.h])
-    marker_sets[deep_node].add(1)
+    mask[deep_node] |= 1 << 1
     learners = sorted(g.adj[d.root])[:m]
     for w in learners:
-        marker_sets[w].add(2)
+        mask[w] |= 1 << 2
     for v in _relay_path(g, d, deep_node)[1:-1]:
-        marker_sets[v].add(3)
+        mask[v] |= 1 << 3
     for l in range(d.h):
         for v in plan.us[l]:
-            marker_sets[v].add(4)
+            mask[v] |= 1 << 4
         blocks = blocks_per_level[l]
         worst = max(blocks.values())
-        marker_sets[min(v for v in plan.us[l] if blocks[v] == worst)].add(5)
+        mask[min(v for v in plan.us[l] if blocks[v] == worst)] |= 1 << 5
         lvl = d.levels[l + 1]
         top = max(weights[u] for u in lvl)
-        marker_sets[min(u for u in lvl if weights[u] == top)].add(6)
+        mask[min(u for u in lvl if weights[u] == top)] |= 1 << 6
 
     delta_digits = digits(d.delta, range(1, m + 1))
-    l1 = {w: Tag(i, delta_digits[i]) for i, w in enumerate(learners, start=1)}
-    l1[d.root] = Tag(m, 0)
+    l1 = {w: (i, delta_digits[i]) for i, w in enumerate(learners, start=1)}
+    l1[d.root] = (m, 0)
+    l2 = collision_tag_map(plan)
 
-    l2 = {u: Tag(i, b) for u, (i, b) in collision_tag_map(plan).items()}
-    l3 = {u: Tag(i, b) for u, (i, b) in l3_map.items()}
-
-    # O(log log Delta) bits leave few distinct labels: build and encode each once
-    shared: Dict[Label, Tuple[Label, str]] = {}
+    # O(log log Delta) bits leave few distinct labels: build and encode each
+    # once, keyed by the markers' mask and the three (id, bit) tags
+    shared: Dict[tuple, Tuple[Label, str]] = {}
     labels: Dict[int, Label] = {}
     encoded: Dict[int, str] = {}
     for v in range(g.n):
-        lbl = Label(
-            markers=make_markers(*marker_sets[v]),
-            l1=l1.get(v, ZERO_TAG),
-            l2=l2.get(v, ZERO_TAG),
-            l3=l3.get(v, ZERO_TAG),
-        )
-        if lbl not in shared:
-            shared[lbl] = (lbl, encode_label(lbl))
-        labels[v], encoded[v] = shared[lbl]
+        key = (mask[v], l1.get(v, NO_TAG), l2.get(v, NO_TAG), l3.get(v, NO_TAG))
+        if key not in shared:
+            lbl = Label(
+                make_markers(*(i for i in range(7) if key[0] >> i & 1)),
+                *(Tag(*tag) for tag in key[1:]),
+            )
+            shared[key] = (lbl, encode_label(lbl))
+        labels[v], encoded[v] = shared[key]
     return LabelingScheme(labels=labels, encoded=encoded)
 
 

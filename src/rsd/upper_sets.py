@@ -123,6 +123,8 @@ def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
     digits and foreign-audible children for 1 digits, whose stray reports
     inflate a foreigner's counts and correctly stall it.
     """
+    if d.h < 1:
+        raise ValueError("upper sets require a graph with at least two nodes")
     m_ids = bitlen(d.delta)
     us: Dict[int, Tuple[int, ...]] = {}
     nprime: Dict[int, Tuple[int, ...]] = {}

@@ -58,6 +58,11 @@ def test_gen_family_bad_index(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_family_needs_an_index(capsys):
+    assert run_cli("gen", "--kind", "family", "--delta", "4") == 2
+    assert "--index is required for --kind family" in capsys.readouterr().err
+
+
 def test_gen_infeasible_tree(capsys):
     assert run_cli("gen", "--kind", "tree", "--n", "10", "--delta", "1") == 2
 

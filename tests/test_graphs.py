@@ -1,8 +1,10 @@
 import itertools
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
+from hypothesis import given, strategies as st
 from test_acceptance import build_corpus
 
 from rsd.graphs import Graph, GraphFormatError, decompose, parse_graph
@@ -277,7 +279,47 @@ def test_diameter_path():
 
 
 def all_pairs_diameter(g):
-    return max(max(g.bfs_levels(v)) for v in range(g.n))
+    return max(max(queue_bfs(g, v)) for v in range(g.n))
+
+
+def queue_bfs(g, source):
+    """Textbook BFS with a queue, independent of `Graph.bfs_levels`."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.adj[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def unpruned_ifub(g):
+    """iFUB scanning every fringe node: the diameter and its BFS sources in order."""
+    sources = []
+
+    def bfs(x):
+        sources.append(x)
+        return queue_bfs(g, x)
+
+    delta = g.max_degree()
+    from_root = bfs(min(v for v in range(g.n) if g.degree(v) == delta))
+    from_a = bfs(from_root.index(max(from_root)))
+    lb = max(from_a)
+    u = from_a.index(lb)
+    while from_a[u] > lb // 2:
+        u = next(w for w in g.adj[u] if from_a[w] == from_a[u] - 1)
+    from_u = bfs(u)
+    i = max(from_u)
+    while lb < 2 * i:
+        for z in [v for v in range(g.n) if from_u[v] == i]:
+            lb = max(lb, max(bfs(z)))
+            if lb >= 2 * i:
+                return lb, sources
+        i -= 1
+    return lb, sources
 
 
 def count_bfs(monkeypatch):
@@ -381,3 +423,61 @@ def test_diameter_takes_a_handful_of_bfs_runs(monkeypatch, g):
     runs = count_bfs(monkeypatch)
     g.diameter()
     assert len(runs) <= 8
+
+
+@st.composite
+def relabelled_connected_graphs(draw):
+    n = draw(st.integers(2, 40))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}  # a spanning tree
+    edges |= set(draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                               max_size=n // 2)))  # sparse: deep enough for a fringe scan
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@given(relabelled_connected_graphs())
+def test_diameter_equals_all_pairs_bfs(g):
+    assert g.diameter() == all_pairs_diameter(g)
+
+
+@pytest.mark.parametrize("g", [s[1] for s in STRUCTURED] + [random_connected_graph(300, 6, 2)],
+                         ids=[s[0] for s in STRUCTURED] + ["graph-300"])
+def test_bfs_levels_equals_a_queue_bfs(g):
+    for source in sorted({0, g.n // 2, g.n - 1}):
+        assert g.bfs_levels(source) == queue_bfs(g, source)
+
+
+def test_the_pruned_scan_measures_a_subsequence_of_the_unpruned_scans_sources(monkeypatch):
+    runs = count_bfs(monkeypatch)
+    pruned = unpruned = 0
+    for name, g in build_corpus():
+        want, sources = unpruned_ifub(g)
+        runs.clear()
+        assert g.diameter() == want, name
+        rest = iter(sources)
+        assert all(x in rest for x in runs), name
+        pruned, unpruned = pruned + len(runs), unpruned + len(sources)
+    assert (pruned, unpruned) == (2291, 3928)
+
+
+def test_diameter_bfs_runs_on_the_corpus_worst_case(monkeypatch):
+    g = random_connected_graph(146, 3, 20_123)  # the corpus's graph-123
+    assert len(unpruned_ifub(g)[1]) == 61
+    runs = count_bfs(monkeypatch)
+    assert g.diameter() == 12
+    assert len(runs) == 29
+
+
+@pytest.mark.parametrize("order", ["shuffled", "reversed", "flipped"])
+def test_adjacency_is_ascending_whatever_the_edge_order(order):
+    g = random_connected_graph(60, 8, 3)
+    edges = list(g.edges)
+    if order == "shuffled":
+        random.Random(5).shuffle(edges)
+    elif order == "reversed":
+        edges.reverse()
+    else:
+        edges = [(v, u) for u, v in reversed(edges)]
+    rebuilt = Graph.from_edges(g.n, edges)
+    assert all(list(ns) == sorted(ns) for ns in rebuilt.adj)
+    assert rebuilt == g

@@ -16,7 +16,13 @@ from rsd.labels import (
     length_bound,
     make_markers,
 )
-from rsd.upper_sets import bitlen, compute_upper_sets, compute_weights
+from rsd.upper_sets import (
+    bitlen,
+    collision_tag_map,
+    compute_upper_sets,
+    compute_weights,
+    finalize_weight_tags,
+)
 
 
 def scheme_for(g):
@@ -166,6 +172,21 @@ def test_each_distinct_label_is_built_and_encoded_once(monkeypatch):
     assert len({id(bits) for bits in scheme.encoded.values()}) == 36
     for v in range(g.n):
         assert scheme.encoded[v] == encode_label(scheme.labels[v])
+
+
+def test_every_node_carries_its_own_tags():
+    g = random_tree(300, 8, 1)
+    d = decompose(g)
+    plan = compute_upper_sets(g, d)
+    weights = compute_weights(plan, d)
+    scheme = assign_labels(g, d, plan, weights)
+    l2 = collision_tag_map(plan)
+    l3, _blocks = finalize_weight_tags(g, d, plan, weights)
+    assert len(set(l3.values())) > 1
+    for v in range(g.n):
+        lbl = scheme.labels[v]
+        assert (lbl.l2.id, lbl.l2.bit) == l2.get(v, (0, 0))
+        assert (lbl.l3.id, lbl.l3.bit) == l3.get(v, (0, 0))
 
 
 def test_labels_file_format():

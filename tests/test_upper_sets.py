@@ -424,3 +424,9 @@ def test_admission_matches_the_whole_level_reference():
         ], g.edges
         anchored += used
     assert anchored > 0
+
+
+def test_upper_sets_refuse_a_graph_of_one_node():
+    g = Graph.from_edges(1, [])
+    with pytest.raises(ValueError, match="upper sets require a graph with at least two nodes"):
+        compute_upper_sets(g, decompose(g))
