@@ -363,6 +363,21 @@ MUTANTS = [
         "sorted(audible)",
         [UPPER_SETS_TESTS + "test_a_miscounting_member_names_its_foreign_carriers"],
     ),
+    # one dealer for both tag kinds, and an anchor's tag kept as it was dealt
+    Mutant(
+        "loud_child_on_zero_digit",
+        "upper_sets.py",
+        "key=itemgetter(1), reverse=True)",
+        "key=itemgetter(1))",
+        [UPPER_SETS_TESTS + "test_the_dealer_gives_loud_children_one_digits_first"],
+    ),
+    Mutant(
+        "anchor_bit_from_dealt_slot",
+        "upper_sets.py",
+        "dealt = [(u, own[slots.index(anchors[u])]) for u in held]",
+        "dealt = [(u, pair[anchors[u]][free[0][1]]) for u in held]",
+        [UPPER_SETS_TESTS + "test_an_anchor_keeps_its_id_and_its_digit"],
+    ),
     # a traced run streams its trace file instead of holding the joined text
     Mutant(
         "trace_written_whole",

@@ -94,8 +94,7 @@ class Graph:
         extra memory for `ub`; usually a handful of BFS runs suffice (a
         median of 3 on the acceptance corpus, at most 29).
         """
-        delta = self.max_degree()
-        from_root = self.bfs_levels(min(v for v in range(self.n) if self.degree(v) == delta))
+        from_root = self.bfs_levels(_root(self)[0])
         a = from_root.index(max(from_root))
         from_a = self.bfs_levels(a)
         lb = max(from_a)
@@ -217,10 +216,16 @@ class LevelDecomposition:
     delta: int
 
 
+def _root(g: Graph) -> Tuple[int, int]:
+    """(root, delta): the lowest-id node of maximum degree, and that degree."""
+    degrees = [len(ns) for ns in g.adj]
+    delta = max(degrees)
+    return degrees.index(delta), delta
+
+
 def decompose(g: Graph) -> LevelDecomposition:
     """Pick the lowest-id maximum-degree node as root and layer the graph by BFS."""
-    delta = g.max_degree()
-    root = min(v for v in range(g.n) if g.degree(v) == delta)
+    root, delta = _root(g)
     dist = g.bfs_levels(root)
     h = max(dist)
     levels: list[list[int]] = [[] for _ in range(h + 1)]

@@ -81,7 +81,7 @@ class _Mark:
     def __init__(self, name: str):
         self._name = name
 
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
+    def __repr__(self) -> str:
         return self._name
 
 

@@ -7,10 +7,19 @@ The first floor(log2 |N'(v)|)+1 private children (by ascending id) carry
 ids from {1..floor(log2 Delta)+1}; the first one inherits the id of the
 shared tagged child that admitted v (rule 1), or id 1 (rule 2 and the
 initial member).
+
+Each (id, bit) tag is derived once, where it is dealt, with the count
+spelled once by format(count, "b").  `compute_upper_sets` records every
+collision tag in the plan as it deals a member's ids, and
+`collision_tag_map` reads that record; `weight_tag_map` deals the weight
+tags of each weight group.  Both deal through `_deal`, which puts
+foreign-audible children on 1 digits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse, islice
+from operator import itemgetter
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, LevelDecomposition
@@ -81,6 +90,9 @@ class UpperSetPlan:
             children are absent.
         tag_order: member -> its tagged children, inherited-id holder first.
         foreign: children audible to at least one member besides their owner.
+        collision_tags: tagged child -> its collision tag (id, bit), the bit
+            being the id's digit in binary(|N'(owner)|); recorded as the ids
+            are dealt, with one tuple per distinct tag.
     """
 
     us: Dict[int, Tuple[int, ...]]
@@ -89,10 +101,7 @@ class UpperSetPlan:
     child_id: Dict[int, int]
     tag_order: Dict[int, Tuple[int, ...]]
     foreign: frozenset
-
-    def id_set(self, member: int) -> Tuple[int, ...]:
-        """Sorted ids used by a member's tagged children."""
-        return tuple(sorted(self.child_id[u] for u in self.tag_order[member]))
+    collision_tags: Dict[int, Tuple[int, int]]
 
 
 def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
@@ -111,7 +120,8 @@ def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
     the sorted level, since the candidates only shrink; and the anchor
     search walks a stack of the members' tagged children, newest member
     first, dropping for good a child none of whose neighbours is a
-    candidate.
+    candidate.  During admission a member's first private children hold
+    provisional ids: the inherited id, then the smallest others.
 
     Once a level is complete, ids are re-dealt among each member's private
     children: a child heard by members other than its owner transmits into
@@ -119,35 +129,39 @@ def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
     owner's child-count encoding, where its lone report could decode as "no
     such children" at the foreigner and let it finish (and silence the
     child) before the owner has read it.  Children used as admission
-    anchors keep their ids; the rest prefer owner-private children for 0
-    digits and foreign-audible children for 1 digits, whose stray reports
-    inflate a foreigner's counts and correctly stall it.
+    anchors keep their ids; `_deal` gives the rest to owner-private
+    children first and steers foreign-audible ones onto 1 digits, whose
+    stray reports inflate a foreigner's counts and correctly stall it.  The
+    collision tag of every tagged child is recorded as it is dealt.
     """
     if d.h < 1:
         raise ValueError("upper sets require a graph with at least two nodes")
     m_ids = bitlen(d.delta)
+    pair = [((i, 0), (i, 1)) for i in range(m_ids + 1)]  # pair[i][bit]: one tuple per tag
+    adj, level_of = g.adj, d.level
     us: Dict[int, Tuple[int, ...]] = {}
     nprime: Dict[int, Tuple[int, ...]] = {}
     owner: Dict[int, int] = {}
     child_id: Dict[int, int] = {}
     tag_order: Dict[int, Tuple[int, ...]] = {}
+    collision_tags: Dict[int, Tuple[int, int]] = {}
     foreign_all: set = set()
 
     for l in range(d.h):
         level = d.levels[l]
         uncovered = set(d.levels[l + 1])
-        upper = {v: sum(1 for w in g.adj[v] if d.level[w] == l + 1) for v in level}
+        upper = {v: len(uncovered.intersection(adj[v])) for v in level}
         cands = {v for v in level if upper[v]}
         first = 0  # cands only shrinks, so min(cands) only moves right along the level
         stack: List[List[int]] = []  # per member, newest last: tagged children, reversed
         inherited_of: Dict[int, int] = {}  # member -> its inherited id, in admission order
-        anchors: set = set()
+        anchors: Dict[int, int] = {}  # anchor -> its provisional id
         while uncovered:
             assert cands, f"level {l}: uncovered nodes remain but no eligible member"
             anchor = None
             while stack:
                 kids = stack[-1]
-                while kids and cands.isdisjoint(g.adj[kids[-1]]):
+                while kids and cands.isdisjoint(adj[kids[-1]]):
                     kids.pop()  # no candidate neighbour now means none ever again
                 if kids:
                     anchor = kids[-1]
@@ -158,45 +172,56 @@ def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
                     first += 1
                 v, inherited = level[first], 1
             else:
-                anchors.add(anchor)
-                v, inherited = min(cands.intersection(g.adj[anchor])), child_id[anchor]
-            private = sorted(w for w in g.adj[v] if w in uncovered)
+                o = owner[anchor]
+                inherited = _provisional_id(nprime[o].index(anchor), inherited_of[o])
+                anchors[anchor] = inherited
+                v = min(cands.intersection(adj[anchor]))
+            private = [w for w in adj[v] if w in uncovered]  # ascending, as adj is
             assert private, "admitted a member with no private children"
             uncovered.difference_update(private)
             for u in private:
-                for w in g.adj[u]:
-                    if d.level[w] == l:
+                for w in adj[u]:
+                    if level_of[w] == l:
                         upper[w] -= 1
                         if not upper[w]:
                             cands.discard(w)
             inherited_of[v] = inherited
             nprime[v] = tuple(private)
-            owner.update((u, v) for u in private)
-            k = bitlen(len(private))
-            ids = [inherited] + [i for i in range(1, m_ids + 1) if i != inherited][: k - 1]
-            child_id.update(zip(private, ids))
-            tag_order[v] = tuple(private[:k])
-            stack.append(list(reversed(tag_order[v])))
+            owner.update(dict.fromkeys(private, v))
+            stack.append(private[len(private).bit_length() - 1 :: -1])
 
         us[l] = tuple(inherited_of)
-        foreign = {
-            u
-            for u in d.levels[l + 1]
-            if sum(1 for w in g.adj[u] if w in inherited_of) >= 2
-        }
+        members = set(inherited_of)
+        foreign = {u for u in d.levels[l + 1] if len(members.intersection(adj[u])) >= 2}
         foreign_all.update(foreign)
+        if anchors:  # anchors keep their ids; child_id lists them first, in the order tagged
+            rank = {v: r for r, v in enumerate(us[l])}
+            child_id.update(sorted(anchors.items(), key=lambda a: (rank[owner[a[0]]], a[0])))
         for v, inherited in inherited_of.items():
-            bit_of = digits(len(nprime[v]), [child_id[u] for u in tag_order[v]])
-            for u in tag_order[v]:  # anchors keep their ids; the rest are dealt again
-                if u in anchors:
-                    del bit_of[child_id[u]]
-                else:
-                    del child_id[u]
-            pool = [u for u in nprime[v] if u not in anchors]
-            child_id.update(_audibility_assignment(bit_of, pool, foreign))
-            tagged = [u for u in nprime[v] if u in child_id]
-            first = next(u for u in tagged if child_id[u] == inherited)
-            tag_order[v] = (first,) + tuple(u for u in tagged if u != first)
+            private = nprime[v]
+            if len(private) == 1:  # one child: it holds the inherited id, and digit 1
+                u = private[0]
+                child_id[u] = inherited
+                collision_tags[u] = pair[inherited][1]
+                tag_order[v] = (u,)
+                continue
+            spelled = format(len(private), "b")
+            k = len(spelled)
+            slots = [*range(1, k), max(inherited, k)]  # the provisional ids, ascending
+            own = [pair[i][c == "1"] for i, c in zip(slots, spelled)]  # v's tags
+            held = [u for u in private[:k] if u in anchors] if anchors else None
+            if held:  # an anchor keeps its id, and so its tag; the other tags are dealt again
+                kept = {anchors[u] for u in held}
+                free = [t for t in own if t[0] not in kept]
+                dealt = [(u, own[slots.index(anchors[u])]) for u in held]
+                dealt += _deal(free, [u for u in private if u not in held], foreign)
+            else:
+                dealt = _deal(own, private, foreign)
+            for u, tag in dealt:
+                child_id[u] = tag[0]
+                collision_tags[u] = tag
+            first = next(u for u, tag in dealt if tag[0] == inherited)
+            tag_order[v] = (first, *sorted(u for u, _tag in dealt if u != first))
     return UpperSetPlan(
         us=us,
         nprime=nprime,
@@ -204,41 +229,44 @@ def compute_upper_sets(g: Graph, d: LevelDecomposition) -> UpperSetPlan:
         child_id=child_id,
         tag_order=tag_order,
         foreign=frozenset(foreign_all),
+        collision_tags=collision_tags,
     )
 
 
-def _audibility_assignment(
-    bit_of: Dict[int, int], children: Sequence[int], foreign: AbstractSet[int]
-) -> Dict[int, int]:
-    """Deal the slots of `bit_of` (slot -> digit) to children: quiet ones
-    (not in `foreign`) first; unavoidable loud ones take 1-digit slots
-    before 0-digit slots.  Returns child -> slot."""
-    quiet = [u for u in children if u not in foreign]
-    loud = [u for u in children if u in foreign]
-    ones_first = sorted(bit_of, key=lambda i: (-bit_of[i], i))
-    out = dict(zip(loud[: max(0, len(bit_of) - len(quiet))], ones_first))
-    taken = set(out.values())
-    out.update(zip(quiet, sorted(i for i in bit_of if i not in taken)))
-    return out
+def _provisional_id(j: int, inherited: int) -> int:
+    """The id that a member's j-th private child holds during admission:
+    the member's inherited id, then the smallest ids besides it."""
+    return inherited if j == 0 else j + (j >= inherited)
+
+
+def _deal(
+    tags: Sequence[Tuple[int, int]], children: Sequence[int], foreign: AbstractSet[int]
+) -> List[Tuple[int, Tuple[int, int]]]:
+    """Deal (id, bit) tags, listed by ascending id, to children: returns
+    (child, tag) pairs.  Quiet children (not in `foreign`) take tags first,
+    in order; unavoidable loud ones take 1-bit tags before 0-bit tags."""
+    n = len(tags)
+    quiet = list(islice(filterfalse(foreign.__contains__, children), n))
+    if len(quiet) == n:  # the quiet children cover every tag
+        return list(zip(quiet, tags))
+    loud = list(islice(filter(foreign.__contains__, children), n - len(quiet)))
+    ones_first = sorted(tags, key=itemgetter(1), reverse=True)[: len(loud)]  # stable
+    return [*zip(loud, ones_first), *zip(quiet, [t for t in tags if t not in ones_first])]
 
 
 def compute_weights(plan: UpperSetPlan, d: LevelDecomposition) -> Dict[int, int]:
     """Bottom-up weights: 1 at level h and for non-members, else 1 + sum over N'."""
     weight: Dict[int, int] = {}
+    nprime = plan.nprime
     for l in range(d.h, -1, -1):
         for v in d.levels[l]:
-            weight[v] = 1 + sum(weight[u] for u in plan.nprime.get(v, ()))
+            weight[v] = 1 + sum(map(weight.__getitem__, nprime.get(v, ())))
     return weight
 
 
 def collision_tag_map(plan: UpperSetPlan) -> Dict[int, Tuple[int, int]]:
-    """Child -> (id, bit): the bit is its rank's digit in binary(|N'(owner)|)."""
-    tags: Dict[int, Tuple[int, int]] = {}
-    for v, order in plan.tag_order.items():
-        bit_of = digits(len(plan.nprime[v]), plan.id_set(v))
-        for u in order:
-            tags[u] = (plan.child_id[u], bit_of[plan.child_id[u]])
-    return tags
+    """Child -> (id, bit): the bit is its id's digit in binary(|N'(owner)|)."""
+    return dict(plan.collision_tags)
 
 
 def weight_tag_map(plan: UpperSetPlan, weights: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
@@ -249,14 +277,20 @@ def weight_tag_map(plan: UpperSetPlan, weights: Dict[int, int]) -> Dict[int, Tup
     steered onto 1 digits.
     """
     tags: Dict[int, Tuple[int, int]] = {}
+    spelled: Dict[int, List[Tuple[int, int]]] = {}  # group size -> its tags, each size spelled once
     for private in plan.nprime.values():
+        if len(private) == 1:  # a group of one: position 1, digit 1
+            tags[private[0]] = (1, 1)
+            continue
         groups: Dict[int, List[int]] = {}
         for u in private:
             groups.setdefault(weights[u], []).append(u)
         for group in groups.values():
-            bit_of = digits(len(group), range(1, bitlen(len(group)) + 1))
-            for u, j in _audibility_assignment(bit_of, group, plan.foreign).items():
-                tags[u] = (j, bit_of[j])
+            size = len(group)
+            own = spelled.get(size)
+            if own is None:
+                own = spelled[size] = [(j, int(c)) for j, c in enumerate(format(size, "b"), 1)]
+            tags.update(_deal(own, group, plan.foreign))
     return tags
 
 

@@ -158,6 +158,15 @@ def test_matched_labelings_share_pattern():
         assert len(pats) == 1
 
 
+def test_a_family_without_two_hub_leaves_has_no_matched_labelings():
+    (tree,) = build_family(2)
+    assert tree.i == 1
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert matched_labelings([tree], beta=1, rng=rng) == []
+    assert rng.getstate() == state  # the empty answer draws nothing
+
+
 def test_pattern_bound_values():
     assert pattern_bound(0) == 324
     assert pattern_bound(1) == 104976

@@ -35,6 +35,11 @@ def test_no_transmitters_all_silence():
     assert obs == {0: SILENCE, 1: SILENCE}
 
 
+def test_observation_marks_print_their_names():
+    assert [repr(m) for m in (SILENCE, COLLISION, NOT_LISTENING)] == [
+        "Silence", "CollisionNoise", "NotListening"]
+
+
 def test_two_transmitting_leaves_collide_at_center():
     g = star(3)
     msg = Opaque("x")

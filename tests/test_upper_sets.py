@@ -8,7 +8,7 @@ from rsd.generators import random_connected_graph, random_tree, star
 from rsd.graphs import Graph, decompose
 from rsd.upper_sets import (
     OraclePlanError,
-    _audibility_assignment,
+    _deal,
     _promote_to_one_bit,
     _replay_level,
     account_block,
@@ -29,6 +29,11 @@ def oracle(g):
     plan = compute_upper_sets(g, d)
     weights = compute_weights(plan, d)
     return d, plan, weights
+
+
+def id_set(plan, member):
+    """Sorted ids used by a member's tagged children."""
+    return tuple(sorted(plan.child_id[u] for u in plan.tag_order[member]))
 
 
 def test_bitlen():
@@ -171,7 +176,7 @@ def test_collision_tag_bits_encode_private_count():
     tags = collision_tag_map(plan)
     for l in range(d.h):
         for v in plan.us[l]:
-            ids = plan.id_set(v)
+            ids = id_set(plan, v)
             bits = "".join(
                 str(tags[u][1])
                 for u in sorted(plan.tag_order[v], key=lambda u: plan.child_id[u])
@@ -355,6 +360,19 @@ def test_the_repair_loop_stays_within_its_bound(monkeypatch):
     assert len(calls) == 4 <= len(d.levels[1]) + 1
 
 
+def _audibility_assignment(bit_of, children, foreign):
+    """The reference dealer: deal the slots of `bit_of` (slot -> digit) to
+    children: quiet ones (not in `foreign`) first; unavoidable loud ones take
+    1-digit slots before 0-digit slots.  Returns child -> slot."""
+    quiet = [u for u in children if u not in foreign]
+    loud = [u for u in children if u in foreign]
+    ones_first = sorted(bit_of, key=lambda i: (-bit_of[i], i))
+    out = dict(zip(loud[: max(0, len(bit_of) - len(quiet))], ones_first))
+    taken = set(out.values())
+    out.update(zip(quiet, sorted(i for i in bit_of if i not in taken)))
+    return out
+
+
 def whole_level_upper_sets(g, d):
     """The plain admission loop, kept as the reference: it rebuilds the
     candidate set from the whole level and scans every tagged child for an
@@ -407,13 +425,19 @@ def whole_level_upper_sets(g, d):
     return (us, nprime, owner, child_id, tag_order, frozenset(foreign_all)), anchored
 
 
-def test_admission_matches_the_whole_level_reference():
+def reference_graphs():
+    """A 1-in-8 slice of the acceptance corpus, the dense graphs whose replay
+    needs repairs, and a dense 300-node graph with many anchors."""
     graphs = [g for i, (_name, g) in enumerate(build_corpus()[:450]) if i % 8 == 0]
     graphs += [random_connected_graph(n, cap, seed, extra_edges=extra)
                for n, cap, seed, extra in DENSE_REPAIRS]
     graphs.append(random_connected_graph(300, 16, 1, extra_edges=300))
+    return graphs
+
+
+def test_admission_matches_the_whole_level_reference():
     anchored = 0
-    for g in graphs:
+    for g in reference_graphs():
         d = decompose(g)
         plan = compute_upper_sets(g, d)
         fields = (plan.us, plan.nprime, plan.owner, plan.child_id, plan.tag_order, plan.foreign)
@@ -430,3 +454,112 @@ def test_upper_sets_refuse_a_graph_of_one_node():
     g = Graph.from_edges(1, [])
     with pytest.raises(ValueError, match="upper sets require a graph with at least two nodes"):
         compute_upper_sets(g, decompose(g))
+
+
+def spelled_collision_tags(plan):
+    """The collision tags spelled again from the plan's ids, member by member."""
+    tags = {}
+    for v, order in plan.tag_order.items():
+        bit_of = digits(len(plan.nprime[v]), id_set(plan, v))
+        for u in order:
+            tags[u] = (plan.child_id[u], bit_of[plan.child_id[u]])
+    return tags
+
+
+def reference_weight_tags(plan, weights):
+    """The weight tags dealt by the reference dealer from a digits map per group."""
+    tags = {}
+    for private in plan.nprime.values():
+        groups = {}
+        for u in private:
+            groups.setdefault(weights[u], []).append(u)
+        for group in groups.values():
+            bit_of = digits(len(group), range(1, bitlen(len(group)) + 1))
+            for u, j in _audibility_assignment(bit_of, group, plan.foreign).items():
+                tags[u] = (j, bit_of[j])
+    return tags
+
+
+def reference_repairs(g, d, plan, weights, replay):
+    """finalize_weight_tags' repair loop, from the reference tags: returns
+    the weight tags, the blocks and every replay's (level, blocks, suspects)."""
+    l2, l3 = spelled_collision_tags(plan), reference_weight_tags(plan, weights)
+    replays, blocks_per_level, pinned = [], {}, set()
+    for l in range(d.h):
+        while True:
+            blocks, suspects = replay(g, d, plan, weights, l, l2, l3)
+            replays.append((l, blocks, suspects))
+            if blocks is not None:
+                blocks_per_level[l] = blocks
+                break
+            assert any(u not in pinned and _promote_to_one_bit(u, plan, weights, l3, pinned)
+                       for u in suspects)
+    return l3, blocks_per_level, replays
+
+
+def test_dealt_tags_match_the_tags_spelled_again(monkeypatch):
+    graphs = reference_graphs() + [
+        random_tree(3000, 16, 1), random_connected_graph(1500, 16, 1), star(2048)]
+    real = upper_sets._replay_level
+    replays = []
+
+    def replay(*args):
+        blocks, suspects = real(*args)
+        replays.append((args[4], blocks, suspects))
+        return blocks, suspects
+
+    monkeypatch.setattr(upper_sets, "_replay_level", replay)
+    repaired = 0
+    for g in graphs:
+        d, plan, weights = oracle(g)
+        assert collision_tag_map(plan) == spelled_collision_tags(plan), g.edges
+        assert weight_tag_map(plan, weights) == reference_weight_tags(plan, weights), g.edges
+        replays.clear()
+        l3, blocks = finalize_weight_tags(g, d, plan, weights)
+        assert (l3, blocks, replays) == reference_repairs(g, d, plan, weights, real), g.edges
+        repaired += any(suspects for _l, _blocks, suspects in replays)
+    assert repaired >= len(DENSE_REPAIRS)
+
+
+def test_collision_tags_share_one_tuple_per_distinct_tag():
+    g = random_tree(3000, 16, 1)
+    _d, plan, _weights = oracle(g)
+    tags = plan.collision_tags
+    assert len({id(t) for t in tags.values()}) == len(set(tags.values())) < len(tags)
+
+
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_the_dealer_matches_the_reference_dealer(count, data):
+    spelled = format(count, "b")
+    ids = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=12),
+                                   min_size=len(spelled), max_size=len(spelled))))
+    children = data.draw(st.lists(st.integers(min_value=0, max_value=60), min_size=len(spelled),
+                                  max_size=len(spelled) + 6, unique=True))
+    foreign = data.draw(st.sets(st.sampled_from(children)))
+    tags = [(i, int(c)) for i, c in zip(ids, spelled)]
+    want = _audibility_assignment(dict(tags), children, foreign)
+    assert [(u, i) for u, (i, _bit) in _deal(tags, children, foreign)] == list(want.items())
+
+
+def test_the_dealer_gives_loud_children_one_digits_first():
+    five = [(1, 1), (2, 0), (3, 1)]  # binary 101
+    # one quiet child is too few: the two loud ones take both 1 digits
+    assert _deal(five, [7, 8, 9], {7, 9}) == [(7, (1, 1)), (9, (3, 1)), (8, (2, 0))]
+    # binary 100: loud children take 0 digits only when no quiet child can
+    four = [(1, 1), (2, 0), (3, 0)]
+    assert _deal(four, [4, 5, 6], {4, 5, 6}) == [(4, (1, 1)), (5, (2, 0)), (6, (3, 0))]
+    assert _deal(four, [4, 5, 6, 7], {4}) == [(5, (1, 1)), (6, (2, 0)), (7, (3, 0))]
+
+
+def test_an_anchor_keeps_its_id_and_its_digit():
+    # member 1 owns 3, 4, 5 and 6 (binary 100); its child 3, also heard by
+    # node 2, admits member 2 and keeps id 1 and digit 1, while 4 and 5 are
+    # dealt the two 0 digits again
+    g = Graph.from_edges(12, [(0, 1), (0, 2), (0, 8), (0, 9), (0, 10), (0, 11),
+                              (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 7)])
+    _d, plan, _weights = oracle(g)
+    assert plan.us[1] == (1, 2) and plan.nprime[1] == (3, 4, 5, 6) and plan.foreign == {3}
+    assert plan.tag_order[1] == (3, 4, 5) and plan.tag_order[2] == (7,)
+    tags = collision_tag_map(plan)
+    assert {u: tags[u] for u in (3, 4, 5, 7)} == {3: (1, 1), 4: (2, 0), 5: (3, 0), 7: (1, 1)}
+    assert tags == spelled_collision_tags(plan)
